@@ -3,15 +3,10 @@
 The per-query cost of the paper's evaluation is ``O(n_gates * n_paths)``
 (Sec. 6.2); what the compiled engine removes is the constant in front of it:
 per-gate string dispatch, one ``rng.choice`` per (gate, qubit) error site and
-full-block masked Pauli updates.  The batched engine goes one step further:
-at realistic error rates most shots share a handful of distinct error
-patterns, so it samples error *events* sparsely, folds pure-Z patterns into
-per-path sign masks off a single noiseless carrier run, and executes the
-tape once per distinct X/Y-bearing pattern instead of once per shot.  The
-workload below is the noisy Monte-Carlo setting of Figures 9-11
-(capacity-32 virtual QRAM, 256 shots, phase-flip noise at ``eps = 1e-3``);
-the acceptance bars are the tape engine beating the interpreted engine by at
-least 2x and the batch engine beating the tape engine by at least 2x on it.
+full-block masked Pauli updates.  The workload below is the noisy
+Monte-Carlo setting of Figures 9-11 (capacity-32 virtual QRAM, 256 shots,
+phase-flip noise at ``eps = 1e-3``); the acceptance bar is the tape engine
+beating the interpreted engine by at least 2x on it.
 
 Run standalone for a quick speedup table::
 
@@ -25,10 +20,7 @@ measurements (including the gated speedup) for
 ``benchmarks/check_regression.py`` to compare against the committed baseline.
 The interpreted and tape engines consume a shared ``Generator`` stream
 identically, so the standalone runner cross-checks their trajectories
-bit-for-bit under it; the batch engine's bit-identity contract is the
-:class:`~repro.sim.ShotSeeds` per-shot stream (its bulk-``Generator`` path
-draws aggregate event counts instead), so its cross-check against the tape
-engine runs under ``ShotSeeds``.
+bit-for-bit under it.
 """
 
 import json
@@ -106,13 +98,6 @@ def bench_tape_engine_noisy_m5(benchmark):
     assert bits.shape[0] == SHOTS * compiled.input_state.num_paths
 
 
-def bench_batch_engine_noisy_m5(benchmark):
-    """Pattern-grouped batch engine on the identical workload."""
-    _, compiled, noise = _workload()
-    bits, _ = benchmark(_run, "feynman-batch", compiled, noise)
-    assert bits.shape[0] == SHOTS * compiled.input_state.num_paths
-
-
 def bench_tape_engine_branching_m3(benchmark):
     """Tape engine on the branching fused-teleportation workload."""
     compiled, noise = _branching_workload()
@@ -140,7 +125,7 @@ def main(gate_speedup: bool = True, json_path: str | None = None) -> int:
 
     timings: dict[str, float] = {}
     results: dict[str, tuple] = {}
-    for name in ("feynman-interp", "feynman-tape", "feynman-batch"):
+    for name in ("feynman-interp", "feynman-tape"):
         _run(name, compiled, noise)  # warm caches (tape, noise sites)
         repeats = 5
         best = min(
@@ -151,40 +136,34 @@ def main(gate_speedup: bool = True, json_path: str | None = None) -> int:
 
     same_bits = np.array_equal(results["feynman-interp"][0], results["feynman-tape"][0])
     same_amps = np.array_equal(results["feynman-interp"][1], results["feynman-tape"][1])
-    batch_identical = _batch_matches_tape_under_shot_seeds(compiled, noise)
     speedup = timings["feynman-interp"] / timings["feynman-tape"]
-    batch_speedup = timings["feynman-tape"] / timings["feynman-batch"]
 
     rows = [
         ["feynman-interp", timings["feynman-interp"] * 1e3, 1.0],
         ["feynman-tape", timings["feynman-tape"] * 1e3, speedup],
-        ["feynman-batch", timings["feynman-batch"] * 1e3, speedup * batch_speedup],
     ]
     print(format_table(["engine", "best of 5 (ms)", "speedup"], rows))
     print(f"trajectories bit-identical (interp/tape): bits={same_bits} amps={same_amps}")
-    print(f"batch matches tape under ShotSeeds: {batch_identical}")
 
     # Branching micro-benchmark: the fused-teleportation circuit doubles and
     # collapses the path set mid-shot, the code paths the QRAM query above
-    # never executes.  All three engines must stay bit-identical on it under
+    # never executes.  Both engines must stay bit-identical on it under
     # ShotSeeds (hard gate), and the tape engine's lead over the interpreter
     # must not regress (speedup gate vs the committed baseline).
     branch_compiled, branch_noise = _branching_workload()
     branch_timings: dict[str, float] = {}
     branch_results: dict[str, tuple] = {}
-    for name in ("feynman-interp", "feynman-tape", "feynman-batch"):
+    for name in ("feynman-interp", "feynman-tape"):
         _run_branching(name, branch_compiled, branch_noise)  # warm caches
         branch_timings[name] = min(
             _timed_branching(name, branch_compiled, branch_noise)
             for _ in range(5)
         )
         branch_results[name] = _run_branching(name, branch_compiled, branch_noise)
-    branch_identical = all(
-        np.array_equal(branch_results["feynman-tape"][0], branch_results[name][0])
-        and np.array_equal(
-            branch_results["feynman-tape"][1], branch_results[name][1]
-        )
-        for name in ("feynman-interp", "feynman-batch")
+    branch_identical = np.array_equal(
+        branch_results["feynman-tape"][0], branch_results["feynman-interp"][0]
+    ) and np.array_equal(
+        branch_results["feynman-tape"][1], branch_results["feynman-interp"][1]
     )
     branching_speedup = (
         branch_timings["feynman-interp"] / branch_timings["feynman-tape"]
@@ -195,7 +174,7 @@ def main(gate_speedup: bool = True, json_path: str | None = None) -> int:
         f"tape {branch_timings['feynman-tape'] * 1e3:.0f} ms, "
         f"{branching_speedup:.2f}x over interp"
     )
-    print(f"branching trajectories bit-identical (all engines): {branch_identical}")
+    print(f"branching trajectories bit-identical (interp/tape): {branch_identical}")
     if json_path:
         payload = {
             "benchmark": "compiled_engine",
@@ -213,7 +192,6 @@ def main(gate_speedup: bool = True, json_path: str | None = None) -> int:
             "branching_bit_identical": bool(branch_identical),
             "gates": {
                 "tape_vs_interp_speedup": speedup,
-                "batch_vs_tape_speedup": batch_speedup,
                 "branching_tape_vs_interp_speedup": branching_speedup,
             },
         }
@@ -221,7 +199,7 @@ def main(gate_speedup: bool = True, json_path: str | None = None) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {json_path}")
-    if not (same_bits and same_amps and batch_identical):
+    if not (same_bits and same_amps):
         print("FAIL: engines disagree")
         return 1
     if not branch_identical:
@@ -230,11 +208,6 @@ def main(gate_speedup: bool = True, json_path: str | None = None) -> int:
     missed = []
     if speedup < 2.0:
         missed.append(f"tape engine speedup {speedup:.2f}x is below the 2x target")
-    if batch_speedup < 2.0:
-        missed.append(
-            f"batch engine speedup {batch_speedup:.2f}x over tape is below "
-            "the 2x target"
-        )
     if branching_speedup < 0.75:
         # Measurement collapse forces per-shot execution, so tape's lead
         # shrinks to parity on branching workloads -- but falling clearly
@@ -252,24 +225,8 @@ def main(gate_speedup: bool = True, json_path: str | None = None) -> int:
         for message in missed:
             print(f"WARN: {message}")
         return 0
-    print(
-        f"OK: tape engine is {speedup:.2f}x faster than interp, "
-        f"batch engine {batch_speedup:.2f}x faster than tape"
-    )
+    print(f"OK: tape engine is {speedup:.2f}x faster than interp")
     return 0
-
-
-def _batch_matches_tape_under_shot_seeds(compiled, noise) -> bool:
-    """Bit-identity of the batch engine on its contract stream (ShotSeeds)."""
-    seeds = ShotSeeds(seed=0, point_index=0)
-    reference = None
-    for name in ("feynman-tape", "feynman-batch"):
-        bits, amps = get_engine(name).run_noisy_shots(
-            compiled.circuit, compiled.input_state, noise, SHOTS, rng=seeds
-        )
-        if reference is None:
-            reference = (bits, amps)
-    return np.array_equal(reference[0], bits) and np.array_equal(reference[1], amps)
 
 
 def _timed(name, compiled, noise) -> float:

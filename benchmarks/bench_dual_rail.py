@@ -41,7 +41,7 @@ from repro.sim.seeding import ShotSeeds
 SEED = 7
 SHOTS = 2048
 FACTOR = 10.0
-ENGINES = ("feynman-interp", "feynman-tape", "feynman-batch")
+ENGINES = ("feynman-interp", "feynman-tape")
 
 
 def _gate_variant(base: str, tag: str):

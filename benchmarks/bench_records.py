@@ -43,7 +43,6 @@ MERGE_SPEEDUP_TARGET = 5.0
 SIZE_ADVANTAGE_TARGET = 2.5
 
 _SCENARIOS = ("htree-swap-m3", "htree-teleport-m3", "ideal-m3", "perth-m1")
-_ENGINES = ("feynman-tape", "feynman-batch")
 
 
 def synthesize(rows: int) -> list[ScenarioRecord]:
@@ -72,7 +71,7 @@ def synthesize(rows: int) -> list[ScenarioRecord]:
                 readout_error=1e-4 * (index % 5),
                 error_reduction_factor=float(1 + index % 100),
                 shots=1024,
-                engine=_ENGINES[index % len(_ENGINES)],
+                engine="feynman-tape",
                 fidelity=(index % 1000) / 1000.0,
                 std_error=(index % 97) / 10_000.0,
                 kept_fraction=1.0 - (index % 13) / 100.0,

@@ -283,69 +283,6 @@ class NoiseSiteTable:
             codes[start:stop] = channel.sample_thresholded(rng, stop - start)
         return codes
 
-    def draw_sparse(
-        self, shots: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sample only the non-identity error events: ``(site, shot, code)``.
-
-        Aggregate rare-event sampling for the batch engine's bulk-generator
-        mode.  Per channel run, the number of events over the run's
-        ``sites * shots`` Bernoulli cells is drawn from the exact Binomial
-        marginal, the event cells from the uniform-subset distribution, and
-        each event's Pauli from the channel's conditional ``X``/``Y``/``Z``
-        weights -- distributionally identical to the dense grid of
-        :meth:`draw` while consuming ``O(events)`` randomness instead of
-        ``O(n_sites * shots)``.  The stream consumption necessarily differs
-        from :meth:`draw`, so bulk-generator trajectories are seed-
-        reproducible but not cell-identical to the dense samplers; the
-        seeded per-shot mode (:meth:`draw_per_shot`) remains the cross-engine
-        bit-identity contract.  Events are returned site-major, i.e. in
-        execution order.
-        """
-        site_parts: list[np.ndarray] = []
-        shot_parts: list[np.ndarray] = []
-        code_parts: list[np.ndarray] = []
-        for start, stop, channel in self._channel_runs():
-            cells = (stop - start) * shots
-            p_total = channel.p_total
-            if cells == 0 or p_total <= 0.0:
-                continue
-            count = int(rng.binomial(cells, p_total))
-            if count == 0:
-                continue
-            flat = np.sort(rng.choice(cells, size=count, replace=False))
-            conditional = (
-                np.array([channel.p_x, channel.p_x + channel.p_y]) / p_total
-            )
-            codes = (
-                np.searchsorted(conditional, rng.random(count), side="right") + 1
-            ).astype(np.int64)
-            site_parts.append(start + flat // shots)
-            shot_parts.append(flat % shots)
-            code_parts.append(codes)
-        if not site_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        return (
-            np.concatenate(site_parts),
-            np.concatenate(shot_parts),
-            np.concatenate(code_parts),
-        )
-
-    def draw_per_shot(self, seeds, shots: int) -> np.ndarray:
-        """Draw codes for ``shots`` independently seeded shots: ``(n_sites, shots)``.
-
-        ``seeds`` is a :class:`repro.sim.seeding.ShotSeeds` window; column
-        ``s`` is :meth:`draw_shot` under the stream of absolute shot
-        ``seeds.start + s``.  Delegates to the shared
-        :func:`repro.sim.seeding.draw_shot_randomness` helper (imported
-        lazily: ``repro.sim`` depends on this module at import time).
-        """
-        from repro.sim.seeding import draw_shot_randomness
-
-        codes, _ = draw_shot_randomness(self, seeds, shots)
-        return codes
-
 
 # ------------------------------------------------------------------------ tape
 @dataclass

@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_engines(),
         default=None,
         help="execution engine for every simulation (default: the compiled "
-        "'feynman-tape' engine)",
+        "'feynman-tape' engine; 'feynman-batch' is an alias of it)",
     )
     parser.add_argument(
         "--router",

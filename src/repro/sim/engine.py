@@ -23,29 +23,9 @@ under Monte-Carlo Pauli noise?" -- so both are captured behind one
     table whose rounding can differ from sequential multiplication by ~1 ulp.
 
 ``"feynman-batch"``
-    The pattern-grouped batch engine.  All shots' randomness is drawn up
-    front, then shots are grouped by their **distinct** sampled Pauli error
-    pattern and the tape runs once per distinct pattern instead of once per
-    shot.  Pure-``Z`` patterns do not even get their own run: a ``Z`` error
-    is an exact per-path sign flip that commutes with every phase the
-    kernels apply, so those patterns fold into parity masks read off a
-    single noiseless carrier run.  Patterns containing ``X``/``Y`` errors
-    execute in a *growing* shot-axis block: one slot per such pattern joins
-    the block only at its first error site (copying the carrier's state --
-    exactly the shot's noiseless prefix), so shared prefixes are computed
-    once.  Results are scattered back to shot order.  Under
-    :class:`~repro.sim.seeding.ShotSeeds` the engine consumes each shot's
-    stream in the shared contract order and is **bit-identical** to
-    ``"feynman-tape"`` for any seed, worker count or shard size; under a
-    bulk ``numpy.random.Generator`` it instead samples only the
-    non-identity events in aggregate
-    (:meth:`~repro.circuit.ir.NoiseSiteTable.draw_sparse` -- exact Binomial
-    event counts, ``O(events)`` randomness), which is distributionally
-    identical to the dense draw but not stream-identical to the other
-    engines.  Measurement-bearing circuits consume fresh uniforms per shot,
-    so grouping cannot collapse them; the engine then falls back to the
-    plain NumPy shot-axis path (the same stacked execution the tape engine
-    uses on the same pre-drawn randomness, and therefore bit-identical).
+    An alias of ``"feynman-tape"`` (the same registered instance), kept so
+    saved ``--engine`` flags, server requests, cached fingerprints and the
+    ``engine`` label stamped in existing records stay valid.
 
 ``"statevector"``
     The dense reference simulator, adapted to the same interface (noiseless
@@ -166,6 +146,25 @@ def _check_state(circuit: QuantumCircuit, state: PathState) -> None:
         )
 
 
+def _checked_tape(circuit: QuantumCircuit, state: PathState) -> GateTape:
+    """Compile ``circuit`` for a Feynman engine, rejecting what it cannot run.
+
+    Raises ``ValueError`` on a qubit-count mismatch with ``state``,
+    :class:`UnsupportedGateError` on gates no path simulation covers, and
+    :class:`~repro.circuit.ir.BranchBudgetError` on over-budget branching
+    -- all before any shot executes.
+    """
+    _check_state(circuit, state)
+    tape = compile_circuit(circuit)
+    if tape.unsupported_path_gates:
+        raise UnsupportedGateError(
+            f"gate {tape.unsupported_path_gates[0]} is not simulable by "
+            "the Feynman-path simulator"
+        )
+    tape.require_branch_budget()
+    return tape
+
+
 # ========================================================= measurement helpers
 def _apply_measure(
     column: np.ndarray,
@@ -237,47 +236,6 @@ def _branch_hadamard_group(
         bits_q[q, 1::2] = True
         n_paths *= 2
     return bits_q, amps, n_paths
-
-
-def _branch_grouped_block(
-    bits_q: np.ndarray,
-    amps: np.ndarray,
-    zparity: np.ndarray | None,
-    qs: np.ndarray,
-    n_paths: int,
-    n_slots: int,
-    active: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
-    """Branch the pattern-grouped slot block through one fused ``H`` group.
-
-    The block is reallocated at twice the per-slot width: each active slot's
-    ``n_paths`` columns repeat into ``2 n_paths`` columns in place (old column
-    ``j`` of slot ``s`` becomes columns ``2 j`` / ``2 j + 1`` of the same
-    slot), using the exact operation order of :func:`_branch_hadamard_group`
-    so grouped execution stays IEEE bit-identical to the stacked path.
-    Folded pure-``Z`` parity rows repeat alongside: sign flips recorded
-    before the branch are inherited by both children, exactly as if the
-    flip had been applied at its own site.
-    """
-    for row in range(qs.shape[0]):
-        q = int(qs[row, 0])
-        width = active * n_paths
-        old = bits_q[q, :width].copy()
-        new_bits = np.empty((bits_q.shape[0], n_slots * n_paths * 2), dtype=bool)
-        new_bits[:, : 2 * width] = np.repeat(bits_q[:, :width], 2, axis=1)
-        new_amps = np.empty(n_slots * n_paths * 2, dtype=complex)
-        new_amps[: 2 * width] = np.repeat(amps[:width], 2)
-        new_amps[: 2 * width] *= INV_SQRT2
-        upper = new_amps[1 : 2 * width : 2]
-        upper[old] *= -1.0
-        new_bits[q, 0 : 2 * width : 2] = False
-        new_bits[q, 1 : 2 * width : 2] = True
-        bits_q = new_bits
-        amps = new_amps
-        n_paths *= 2
-        if zparity is not None:
-            zparity = np.repeat(zparity, 2, axis=1)
-    return bits_q, amps, zparity, n_paths
 
 
 def _collapse_flat_indices(
@@ -382,8 +340,12 @@ class Engine:
         :class:`~repro.sim.seeding.ShotSeeds` window, in which case every
         shot draws its errors from its own ``SeedSequence``-derived stream
         and the result is invariant under any sharding of the shot range.
+        This is :meth:`run_noisy_shots_recorded` without the register.
         """
-        raise NotImplementedError
+        bits, amps, _ = self.run_noisy_shots_recorded(
+            circuit, state, noise, shots, rng=rng
+        )
+        return bits, amps
 
     def run_noisy_shots_recorded(
         self,
@@ -397,10 +359,9 @@ class Engine:
 
         Returns ``(bits, amps, outcomes)`` where ``outcomes`` is the batch's
         classical register -- shape ``(num_clbits, shots)`` ``int8``, one row
-        per slot -- or ``None`` when the circuit records nothing.  The random
-        stream consumed is *identical* to :meth:`run_noisy_shots` (recording
-        observes the register the engines already maintain), so recorded and
-        unrecorded runs of the same seed agree bit for bit.  Postselection
+        per slot -- or ``None`` when the circuit records nothing.  Recording
+        observes the register the engines already maintain, so it consumes
+        no randomness of its own.  Postselection
         (:meth:`~repro.sim.feynman.FeynmanPathSimulator.query_fidelities`)
         partitions shots by these outcomes.
         """
@@ -413,15 +374,6 @@ class InterpretedFeynmanEngine(Engine):
 
     name = "feynman-interp"
 
-    def _validate(self, circuit: QuantumCircuit) -> None:
-        tape = compile_circuit(circuit)
-        if tape.unsupported_path_gates:
-            raise UnsupportedGateError(
-                f"gate {tape.unsupported_path_gates[0]} is not simulable by "
-                "the Feynman-path simulator"
-            )
-        tape.require_branch_budget()
-
     def run(
         self,
         circuit: QuantumCircuit,
@@ -430,9 +382,7 @@ class InterpretedFeynmanEngine(Engine):
         rng: np.random.Generator | None = None,
     ) -> PathState:
         """Instruction-at-a-time noiseless evolution (measurements sampled from ``rng``)."""
-        _check_state(circuit, state)
-        self._validate(circuit)
-        tape = compile_circuit(circuit)
+        tape = _checked_tape(circuit, state)
         bits = state.bits.copy()
         amps = state.amplitudes.copy()
         outcomes: np.ndarray | None = None
@@ -472,20 +422,6 @@ class InterpretedFeynmanEngine(Engine):
                 apply_instruction(bits, amps, instr)
         return PathState(bits=bits, amplitudes=amps)
 
-    def run_noisy_shots(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised Monte-Carlo shots, instruction at a time (see :class:`Engine`)."""
-        bits, amps, _ = self.run_noisy_shots_recorded(
-            circuit, state, noise, shots, rng=rng
-        )
-        return bits, amps
-
     def run_noisy_shots_recorded(
         self,
         circuit: QuantumCircuit,
@@ -497,9 +433,7 @@ class InterpretedFeynmanEngine(Engine):
         """Monte-Carlo shots plus the recorded register (see :class:`Engine`)."""
         if shots <= 0:
             raise ValueError("shots must be positive")
-        _check_state(circuit, state)
-        self._validate(circuit)
-        tape = compile_circuit(circuit)
+        tape = _checked_tape(circuit, state)
 
         noiseless = isinstance(noise, NoiselessModel)
         n_measurements = tape.num_measurements
@@ -631,16 +565,6 @@ class TapeFeynmanEngine(Engine):
 
     name = "feynman-tape"
 
-    def _tape(self, circuit: QuantumCircuit) -> GateTape:
-        tape = compile_circuit(circuit)
-        if tape.unsupported_path_gates:
-            raise UnsupportedGateError(
-                f"gate {tape.unsupported_path_gates[0]} is not simulable by "
-                "the Feynman-path simulator"
-            )
-        tape.require_branch_budget()
-        return tape
-
     def run(
         self,
         circuit: QuantumCircuit,
@@ -649,63 +573,15 @@ class TapeFeynmanEngine(Engine):
         rng: np.random.Generator | None = None,
     ) -> PathState:
         """Fused group-by-group noiseless evolution (measurements sampled from ``rng``)."""
-        _check_state(circuit, state)
-        tape = self._tape(circuit)
-        # Qubit-major layout: bits_q[q] is one contiguous row per qubit, so
-        # every gate update streams over contiguous memory instead of a
-        # num_qubits-strided column of the row-major path matrix.  The copy is
-        # explicit: ascontiguousarray would alias the input for single-path
-        # states, and the group kernels mutate bits_q in place.
-        bits_q = state.bits.T.copy()
-        amps = state.amplitudes.copy()
-        outcomes: np.ndarray | None = None
-        if tape.num_clbits:
-            outcomes = np.zeros((tape.num_clbits, 1), dtype=np.int8)
-            if rng is None:
-                rng = np.random.default_rng(0)
-        n_paths = state.num_paths
-        for index, group in enumerate(tape.groups):
-            if group.opcode == OP_MEASURE:
-                cbit, basis = group.params
-                outcomes[cbit], keep = _apply_measure(
-                    bits_q[int(group.qubits[0, 0])], amps, basis, rng.random(1), n_paths
-                )
-                stride = tape.collapse_strides[index]
-                if stride:
-                    flat = _collapse_flat_indices(keep, 1, n_paths, stride)
-                    bits_q = bits_q[:, flat]
-                    amps = amps[flat]
-                    n_paths //= 2
-            elif group.opcode == OP_CPAULI:
-                pauli = group.params[0]
-                _apply_frame(
-                    bits_q[int(group.qubits[0, 0])],
-                    amps,
-                    pauli,
-                    _frame_active(outcomes, group.params[1:], 1),
-                    n_paths,
-                )
-            elif group.opcode == OP_H:
-                bits_q, amps, n_paths = _branch_hadamard_group(
-                    bits_q, amps, group.qubits, n_paths
-                )
-            else:
-                _apply_group(bits_q, amps, group.opcode, group.qubits)
-        return PathState(bits=np.ascontiguousarray(bits_q.T), amplitudes=amps)
-
-    def run_noisy_shots(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised Monte-Carlo shots over the fused tape (see :class:`Engine`)."""
-        bits, amps, _ = self.run_noisy_shots_recorded(
-            circuit, state, noise, shots, rng=rng
+        tape = _checked_tape(circuit, state)
+        measure_uniforms: np.ndarray | None = None
+        if tape.num_measurements:
+            rng = np.random.default_rng(0) if rng is None else rng
+            measure_uniforms = rng.random((tape.num_measurements, 1))
+        bits, amps, _ = _execute_stacked_shots(
+            tape, state, 1, None, None, measure_uniforms
         )
-        return bits, amps
+        return PathState(bits=bits, amplitudes=amps)
 
     def run_noisy_shots_recorded(
         self,
@@ -718,48 +594,32 @@ class TapeFeynmanEngine(Engine):
         """Monte-Carlo shots plus the recorded register (see :class:`Engine`)."""
         if shots <= 0:
             raise ValueError("shots must be positive")
-        _check_state(circuit, state)
-        tape = self._tape(circuit)
+        tape = _checked_tape(circuit, state)
         # One up-front draw for every (gate, qubit) error site of the batch,
         # plus one uniform per (measurement, shot) -- measurement uniforms
-        # first, matching the interpreted engine's consumption order.
+        # first, matching the interpreted engine's consumption order.  A
+        # ShotSeeds window consumes each shot's own stream in that contract
+        # order, which is what makes sharded sweeps bit-identical to serial
+        # ones; a shared generator draws the whole batch at once.
         sites: NoiseSiteTable | None = (
             None if isinstance(noise, NoiselessModel) else tape.noise_sites(noise)
         )
-        codes, measure_uniforms = _draw_batch_randomness(
-            sites, tape.num_measurements, shots, rng
-        )
+        n_measurements = tape.num_measurements
+        codes = measure_uniforms = None
+        if isinstance(rng, ShotSeeds):
+            if sites is not None or n_measurements:
+                codes, measure_uniforms = draw_shot_randomness(
+                    sites, rng, shots, n_measurements
+                )
+        else:
+            rng = np.random.default_rng() if rng is None else rng
+            if n_measurements:
+                measure_uniforms = rng.random((n_measurements, shots))
+            if sites is not None:
+                codes = sites.draw(shots, rng)
         return _execute_stacked_shots(
             tape, state, shots, sites, codes, measure_uniforms
         )
-
-
-def _draw_batch_randomness(
-    sites: NoiseSiteTable | None,
-    n_measurements: int,
-    shots: int,
-    rng: np.random.Generator | ShotSeeds | None,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Draw one shot batch's randomness: ``(site codes, measurement uniforms)``.
-
-    Shared by the compiled and batch engines.  A shared batch generator
-    draws the measurement block first and then all shots' site codes at
-    once; a :class:`~repro.sim.seeding.ShotSeeds` window delegates to
-    :func:`~repro.sim.seeding.draw_shot_randomness`, which consumes each
-    shot's own stream in the same contract order -- that is what makes
-    sharded sweeps bit-identical to serial ones.  Either part may be absent
-    (``None``).
-    """
-    if isinstance(rng, ShotSeeds):
-        if sites is not None or n_measurements:
-            return draw_shot_randomness(sites, rng, shots, n_measurements)
-        return None, None
-    rng = np.random.default_rng() if rng is None else rng
-    measure_uniforms = (
-        rng.random((n_measurements, shots)) if n_measurements else None
-    )
-    codes = sites.draw(shots, rng) if sites is not None else None
-    return codes, measure_uniforms
 
 
 def _execute_stacked_shots(
@@ -773,16 +633,16 @@ def _execute_stacked_shots(
     """Execute the fused tape over a full shot-stacked, qubit-major block.
 
     Column ``s * n_paths + p`` of the block is path ``p`` of shot ``s`` (the
-    transpose of the layout the interpreted engine uses).  This is the
-    compiled engine's shot-axis hot path; the batch engine reuses it for
-    measurement-bearing circuits, where per-shot uniforms defeat pattern
-    grouping.  ``codes`` holds the pre-drawn Pauli codes (``(n_sites,
-    shots)``), ``measure_uniforms`` the pre-drawn measurement uniforms.
-    Returns ``(bits, amps, outcomes)`` -- the recorded classical register
-    (``None`` when the tape has no classical bits) rides along for the
-    ``*_recorded`` engine entry points.
+    transpose of the layout the interpreted engine uses), so every gate
+    update streams over one contiguous row per qubit.  ``codes`` holds the
+    pre-drawn Pauli codes (``(n_sites, shots)``), ``measure_uniforms`` the
+    pre-drawn measurement uniforms.  Returns ``(bits, amps, outcomes)`` with
+    ``bits`` back in row-major layout and ``outcomes`` the recorded
+    classical register (``None`` when the tape has no classical bits).
     """
     n_paths = state.num_paths
+    # np.tile always copies, so the group kernels may mutate the block in
+    # place without touching the caller's state.
     bits_q = np.tile(np.ascontiguousarray(state.bits.T), (1, shots))
     amps = np.tile(state.amplitudes, shots).astype(complex)
 
@@ -799,6 +659,17 @@ def _execute_stacked_shots(
         bucket_starts = np.searchsorted(
             event_group, np.arange(len(tape.groups) + 2)
         )
+
+    def apply_bucket(bucket: int) -> None:
+        for event in range(bucket_starts[bucket], bucket_starts[bucket + 1]):
+            _apply_error_event(
+                bits_q,
+                amps,
+                int(event_qubit[event]),
+                int(event_shot[event]),
+                int(event_code[event]),
+                n_paths,
+            )
 
     outcomes: np.ndarray | None = None
     if tape.num_clbits:
@@ -837,262 +708,10 @@ def _execute_stacked_shots(
         else:
             _apply_group(bits_q, amps, group.opcode, group.qubits)
         if sites is not None:
-            for event in range(bucket_starts[index], bucket_starts[index + 1]):
-                _apply_error_event(
-                    bits_q,
-                    amps,
-                    int(event_qubit[event]),
-                    int(event_shot[event]),
-                    int(event_code[event]),
-                    n_paths,
-                )
+            apply_bucket(index)
     if sites is not None:
-        final_bucket = len(tape.groups)
-        for event in range(
-            bucket_starts[final_bucket], bucket_starts[final_bucket + 1]
-        ):
-            _apply_error_event(
-                bits_q,
-                amps,
-                int(event_qubit[event]),
-                int(event_shot[event]),
-                int(event_code[event]),
-                n_paths,
-            )
+        apply_bucket(len(tape.groups))
     return np.ascontiguousarray(bits_q.T), amps, outcomes
-
-
-class BatchFeynmanEngine(TapeFeynmanEngine):
-    """Pattern-grouped batch execution over the fused tape.
-
-    Runs the tape once per **distinct** sampled Pauli pattern instead of
-    once per shot (see the module docstring for the carrier / phase-fold /
-    slot decomposition), then scatters the per-pattern results back to shot
-    order.  Bit-identical to :class:`TapeFeynmanEngine` under
-    :class:`~repro.sim.seeding.ShotSeeds` because every group kernel and
-    error event is column-local and every folded ``Z`` error is an exact
-    IEEE sign flip that commutes with the kernels' multiplicative per-path
-    phases.
-    """
-
-    name = "feynman-batch"
-
-    def run_noisy_shots_recorded(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Pattern-grouped Monte-Carlo shots plus the register (see :class:`Engine`)."""
-        if shots <= 0:
-            raise ValueError("shots must be positive")
-        _check_state(circuit, state)
-        tape = self._tape(circuit)
-        sites: NoiseSiteTable | None = (
-            None if isinstance(noise, NoiselessModel) else tape.noise_sites(noise)
-        )
-        if tape.num_clbits or tape.num_measurements:
-            # Fresh uniforms per (measurement, shot) make every shot's
-            # trajectory distinct, so grouping cannot collapse anything:
-            # fall back to the plain shot-axis path on the exact same
-            # pre-drawn randomness as the tape engine (hence bit-identical).
-            codes, measure_uniforms = _draw_batch_randomness(
-                sites, tape.num_measurements, shots, rng
-            )
-            return _execute_stacked_shots(
-                tape, state, shots, sites, codes, measure_uniforms
-            )
-        if sites is None:
-            empty = np.empty(0, dtype=np.int64)
-            event_site = event_shot = event_code = empty
-        elif isinstance(rng, ShotSeeds):
-            # Seeded mode consumes each shot's own stream in contract order
-            # (the draw every engine shares), then sparsifies the result.
-            codes, _ = draw_shot_randomness(sites, rng, shots)
-            event_site, event_shot = np.nonzero(codes)
-            event_code = codes[event_site, event_shot]
-        else:
-            event_site, event_shot, event_code = sites.draw_sparse(
-                shots, np.random.default_rng() if rng is None else rng
-            )
-        bits, amps = _execute_grouped_shots(
-            tape, state, shots, sites, event_site, event_shot, event_code
-        )
-        # Measurement-free tapes record nothing (the clbit case took the
-        # stacked path above), so the register is always absent here.
-        return bits, amps, None
-
-
-def _execute_grouped_shots(
-    tape: GateTape,
-    state: PathState,
-    shots: int,
-    sites: NoiseSiteTable | None,
-    event_site: np.ndarray,
-    event_shot: np.ndarray,
-    event_code: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Execute the tape once per distinct Pauli pattern and scatter to shots.
-
-    ``event_*`` is the sparse list of non-identity draws.  Shots sharing a
-    pattern share one trajectory, computed in a block of ``1 + n_xy`` slots
-    of ``n_paths`` columns: slot ``0`` is the always-active noiseless
-    carrier; every distinct pattern containing an ``X`` or ``Y`` error owns
-    one slot that joins the block at its first error site's group bucket (by
-    copying the carrier -- exactly the shot's noiseless prefix state), slots
-    ordered by that bucket so the active region is one contiguous growing
-    prefix.  Pure-``Z`` patterns never get a slot: a ``Z`` error only flips
-    the sign of the paths whose bit is set at that moment, and sign flips
-    commute exactly with the kernels' multiplicative phase updates, so each
-    pure-``Z`` pattern is folded into a per-path parity mask read off the
-    carrier and applied to the carrier's final amplitudes.  Zero-error shots
-    scatter straight from the carrier.
-    """
-    n_paths = state.num_paths
-    n_qubits = state.num_qubits
-
-    # ---- distinct patterns: shot-major scan over the sparse event list.
-    order = np.lexsort((event_site, event_shot))
-    by_shot_site = np.ascontiguousarray(event_site[order])
-    by_shot_code = np.ascontiguousarray(event_code[order])
-    shots_with_events, first_event = np.unique(event_shot[order], return_index=True)
-    bounds = np.append(first_event, len(order))
-    pattern_of_shot = np.zeros(shots, dtype=np.int64)  # id 0: the no-error pattern
-    key_to_id: dict[bytes, int] = {}
-    pattern_sites: list[np.ndarray | None] = [None]
-    pattern_codes: list[np.ndarray | None] = [None]
-    for position, shot in enumerate(shots_with_events.tolist()):
-        low, high = bounds[position], bounds[position + 1]
-        key = by_shot_site[low:high].tobytes() + by_shot_code[low:high].tobytes()
-        pattern = key_to_id.get(key)
-        if pattern is None:
-            pattern = len(pattern_sites)
-            key_to_id[key] = pattern
-            pattern_sites.append(by_shot_site[low:high])
-            pattern_codes.append(by_shot_code[low:high])
-        pattern_of_shot[shot] = pattern
-    n_patterns = len(pattern_sites)
-
-    # ---- classify: pure-Z patterns fold into parity rows, others get slots.
-    slot_of_pattern = np.zeros(n_patterns, dtype=np.int64)
-    zrow_of_pattern = np.full(n_patterns, -1, dtype=np.int64)
-    xy_ids: list[int] = []
-    xy_first_bucket: list[int] = []
-    z_ids: list[int] = []
-    for pattern in range(1, n_patterns):
-        if (pattern_codes[pattern] == PAULI_Z).all():
-            zrow_of_pattern[pattern] = len(z_ids)
-            z_ids.append(pattern)
-        else:
-            xy_ids.append(pattern)
-            # Events are site-sorted, so the first entry is the earliest.
-            xy_first_bucket.append(int(sites.group_index[pattern_sites[pattern][0]]))
-    xy_order = sorted(range(len(xy_ids)), key=xy_first_bucket.__getitem__)
-    first_bucket_sorted = [xy_first_bucket[i] for i in xy_order]
-    for rank, i in enumerate(xy_order):
-        slot_of_pattern[xy_ids[i]] = rank + 1
-    n_xy = len(xy_ids)
-    n_z = len(z_ids)
-
-    # ---- merged execution stream, bucketed by group exactly like the
-    # stacked path.  Phase folds are encoded as negative targets; a stable
-    # site sort keeps each pattern's events in execution order (a pattern
-    # has at most one event per site) and the bucket sequence non-decreasing.
-    if n_patterns > 1:
-        ev_site = np.concatenate([pattern_sites[p] for p in range(1, n_patterns)])
-        ev_target = np.concatenate(
-            [
-                np.full(
-                    len(pattern_sites[p]),
-                    slot_of_pattern[p]
-                    if zrow_of_pattern[p] < 0
-                    else -1 - zrow_of_pattern[p],
-                    dtype=np.int64,
-                )
-                for p in range(1, n_patterns)
-            ]
-        )
-        ev_code = np.concatenate([pattern_codes[p] for p in range(1, n_patterns)])
-        ev_order = np.argsort(ev_site, kind="stable")
-        ev_site = ev_site[ev_order]
-        ev_qubit = sites.qubit[ev_site].tolist()
-        ev_target = ev_target[ev_order].tolist()
-        ev_code = ev_code[ev_order].tolist()
-        bucket_starts = np.searchsorted(
-            sites.group_index[ev_site], np.arange(len(tape.groups) + 2)
-        ).tolist()
-    else:
-        ev_qubit = ev_target = ev_code = []
-        bucket_starts = [0] * (len(tape.groups) + 2)
-
-    n_slots = 1 + n_xy
-    bits_q = np.empty((n_qubits, n_slots * n_paths), dtype=bool)
-    bits_q[:, :n_paths] = np.ascontiguousarray(state.bits.T)
-    amps = np.empty(n_slots * n_paths, dtype=complex)
-    amps[:n_paths] = state.amplitudes
-    zparity = np.zeros((n_z, n_paths), dtype=bool) if n_z else None
-
-    active = 1
-    next_activation = 0
-
-    def _activate_through(bucket: int) -> None:
-        nonlocal active, next_activation
-        while (
-            next_activation < n_xy
-            and first_bucket_sorted[next_activation] <= bucket
-        ):
-            low = active * n_paths
-            bits_q[:, low : low + n_paths] = bits_q[:, :n_paths]
-            amps[low : low + n_paths] = amps[:n_paths]
-            active += 1
-            next_activation += 1
-
-    def _apply_bucket(bucket: int) -> None:
-        for event in range(bucket_starts[bucket], bucket_starts[bucket + 1]):
-            target = ev_target[event]
-            if target < 0:
-                zparity[-1 - target] ^= bits_q[ev_qubit[event], :n_paths]
-            else:
-                _apply_error_event(
-                    bits_q, amps, ev_qubit[event], target, ev_code[event], n_paths
-                )
-
-    for index, group in enumerate(tape.groups):
-        if group.opcode == OP_H:
-            bits_q, amps, zparity, n_paths = _branch_grouped_block(
-                bits_q, amps, zparity, group.qubits, n_paths, n_slots, active
-            )
-        else:
-            width = active * n_paths
-            _apply_group(
-                bits_q[:, :width], amps[:width], group.opcode, group.qubits
-            )
-        _activate_through(index)
-        _apply_bucket(index)
-    final_bucket = len(tape.groups)
-    _activate_through(final_bucket)
-    _apply_bucket(final_bucket)
-
-    # ---- per-pattern amplitudes, then scatter back to shot order.
-    carrier_amps = amps[:n_paths]
-    pattern_amps = np.empty((n_patterns, n_paths), dtype=complex)
-    pattern_amps[0] = carrier_amps
-    if n_z:
-        # Negation is exact and commutes with every multiplicative per-path
-        # update, so the end-of-tape sign mask reproduces applying each Z
-        # event at its own site bit for bit.
-        pattern_amps[z_ids] = np.where(zparity, -carrier_amps, carrier_amps)
-    if n_xy:
-        amps_mat = amps.reshape(n_slots, n_paths)
-        pattern_amps[xy_ids] = amps_mat[slot_of_pattern[xy_ids]]
-    bits_rows = np.ascontiguousarray(bits_q.T).reshape(n_slots, n_paths, n_qubits)
-    out_bits = bits_rows[slot_of_pattern[pattern_of_shot]].reshape(
-        shots * n_paths, n_qubits
-    )
-    out_amps = pattern_amps[pattern_of_shot].reshape(shots * n_paths)
-    return out_bits, out_amps
 
 
 class StatevectorEngine(Engine):
@@ -1170,7 +789,7 @@ class StatevectorEngine(Engine):
         """Unsupported: the dense engine replays one trajectory, not per-shot records."""
         raise NotImplementedError(
             "the statevector engine does not record per-shot measurement "
-            "outcomes; use 'feynman-tape', 'feynman-batch' or 'feynman-interp'"
+            "outcomes; use 'feynman-tape' or 'feynman-interp'"
         )
 
 
@@ -1341,6 +960,5 @@ def set_default_engine(name: str) -> None:
 
 
 register_engine(InterpretedFeynmanEngine())
-register_engine(TapeFeynmanEngine())
-register_engine(BatchFeynmanEngine())
+register_engine(TapeFeynmanEngine(), aliases=("feynman-batch",))
 register_engine(StatevectorEngine())

@@ -94,13 +94,12 @@ def draw_shot_randomness(
     """Draw every shot's seeded randomness up front: ``(codes, uniforms)``.
 
     This is the single implementation of the per-shot random-stream contract
-    (all engines and :meth:`repro.circuit.ir.NoiseSiteTable.draw_per_shot`
-    delegate here): each shot's generator is consumed in the fixed order --
-    **measurement uniforms first** (``n_measurements`` values), **then the
-    noise-site codes** (one threshold draw per site of ``sites``, a
-    :class:`~repro.circuit.ir.NoiseSiteTable` or ``None``).  Because a shot's
-    draws depend only on its own stream, any sharding of the shot range
-    reproduces the unsharded draw exactly.
+    (every Feynman engine delegates here): each shot's generator is consumed
+    in the fixed order -- **measurement uniforms first** (``n_measurements``
+    values), **then the noise-site codes** (one threshold draw per site of
+    ``sites``, a :class:`~repro.circuit.ir.NoiseSiteTable` or ``None``).
+    Because a shot's draws depend only on its own stream, any sharding of the
+    shot range reproduces the unsharded draw exactly.
 
     Returns ``codes`` of shape ``(n_sites, shots)`` (``None`` without a site
     table) and ``uniforms`` of shape ``(n_measurements, shots)`` (``None``

@@ -90,10 +90,12 @@ class TestCorruptionMatrix:
     def test_every_single_byte_flip_is_rejected(self, tmp_path, sample):
         """Exhaustive: CRC-32 catches any single-byte error by design."""
         _, blob = sample
-        path = tmp_path / "flip.rrec"
         for index in range(len(blob)):
             mutated = bytearray(blob)
             mutated[index] ^= 0xFF
+            # A fresh path per flip: rewriting one file in place forces a
+            # filesystem flush per iteration and dominates the test's time.
+            path = tmp_path / f"flip{index}.rrec"
             path.write_bytes(bytes(mutated))
             with pytest.raises(RecordFormatError):
                 RecordFile(path)

@@ -1,20 +1,15 @@
-"""The feynman-batch engine: grouped execution equals the per-shot loop.
+"""Shot-batch execution: the stacked shot block and its fidelity reduction.
 
-The batch engine's tentpole claim is that running the tape once per
-*distinct* sampled error pattern (with pure-Z patterns folded into per-path
-sign masks off a single noiseless carrier) reproduces the tape engine's
-per-shot loop **bit for bit** under the :class:`~repro.sim.ShotSeeds`
-contract.  These tests pin that claim on the degenerate corners (no noise,
-one shared pattern, measured-circuit fallback), as a hypothesis property
-over arbitrary sharding windows, and separately pin the sparse aggregate
-sampler (:meth:`~repro.circuit.ir.NoiseSiteTable.draw_sparse`) and the
-vectorised per-shot fidelity reduction against their reference loops.
+The Feynman engines execute every shot of a batch in one stacked block.
+These tests pin the block's degenerate corners on the default
+``"feynman-tape"`` engine (noise-free runs under every rng flavour,
+bulk-generator determinism, measured circuits against the interpreted
+reference) and the vectorised per-shot fidelity reduction against its
+reference loop.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
 from repro.experiments.common import random_memory
@@ -54,55 +49,23 @@ def _assert_blocks_equal(left, right):
 
 
 class TestEdgeCases:
-    def test_zero_shots_rejected(self):
-        with pytest.raises(ValueError, match="shots"):
-            _run("feynman-batch", DEPOL, 0, ShotSeeds(seed=0))
-
-    def test_negative_shots_rejected(self):
-        with pytest.raises(ValueError, match="shots"):
-            _run("feynman-batch", DEPOL, -3, ShotSeeds(seed=0))
-
-    @pytest.mark.parametrize("rng", [None, ShotSeeds(seed=5)])
-    def test_noise_free_circuit_matches_tape(self, rng):
-        # Without noise sites every shot is the carrier run: the grouped
-        # engine must reproduce the tape loop for any rng flavour.
-        tape = _run("feynman-tape", NoiselessModel(), 6, ShotSeeds(seed=5))
-        batch = _run("feynman-batch", NoiselessModel(), 6, rng)
-        _assert_blocks_equal(tape, batch)
-
-    def test_every_shot_shares_one_pattern(self):
-        # p_x = 1: every site errs on every shot, so all 8 shots collapse
-        # into a single distinct pattern executed exactly once.
-        noise = GateNoiseModel(PauliChannel(p_x=1.0))
-        seeds = ShotSeeds(seed=2)
-        _assert_blocks_equal(
-            _run("feynman-tape", noise, 8, seeds),
-            _run("feynman-batch", noise, 8, seeds),
-        )
-
-    def test_pure_z_noise_folds_exactly(self):
-        # Phase-flip noise exercises only the zparity fold: no slot is ever
-        # activated, yet the signs must match the tape loop bit for bit.
-        noise = GateNoiseModel(PauliChannel.phase_flip(0.2))
-        seeds = ShotSeeds(seed=9)
-        _assert_blocks_equal(
-            _run("feynman-tape", noise, 16, seeds),
-            _run("feynman-batch", noise, 16, seeds),
-        )
+    @pytest.mark.parametrize("rng", [None, np.random.default_rng(1)])
+    def test_noise_free_run_ignores_the_rng_flavour(self, rng):
+        # Without noise sites nothing is drawn: every rng flavour must give
+        # the same block as the seeded per-shot mode.
+        seeded = _run("feynman-tape", NoiselessModel(), 6, ShotSeeds(seed=5))
+        _assert_blocks_equal(seeded, _run("feynman-tape", NoiselessModel(), 6, rng))
 
     def test_generator_mode_is_deterministic_per_seed(self):
-        # Bulk-Generator mode samples events sparsely (no per-shot stream),
-        # but equal generators must still reproduce the block exactly.
-        first = _run("feynman-batch", DEPOL, 16, np.random.default_rng(8))
-        second = _run("feynman-batch", DEPOL, 16, np.random.default_rng(8))
+        first = _run("feynman-tape", DEPOL, 16, np.random.default_rng(8))
+        second = _run("feynman-tape", DEPOL, 16, np.random.default_rng(8))
         _assert_blocks_equal(first, second)
         n_paths = _compiled().input_state.num_paths
         assert first[0].shape[0] == 16 * n_paths
 
-    def test_measured_circuit_falls_back_bit_identical(self):
-        # Measurement collapse depends on the shot's own uniforms, so the
-        # batch engine falls back to the stacked per-shot path -- on the
-        # same up-front draw, hence still bit-identical to the tape engine.
+    def test_measured_circuit_matches_the_interpreter(self):
+        # Measurement uniforms are drawn per shot before the site codes;
+        # the stacked block must consume them exactly like the reference.
         circuit = QuantumCircuit(num_qubits=2)
         circuit.cx(0, 1)
         cbit = circuit.measure(0, basis="X")
@@ -113,72 +76,9 @@ class TestEdgeCases:
         seeds = ShotSeeds(seed=4)
         blocks = [
             get_engine(name).run_noisy_shots(circuit, state, noise, 12, rng=seeds)
-            for name in ("feynman-tape", "feynman-batch")
+            for name in ("feynman-interp", "feynman-tape")
         ]
         _assert_blocks_equal(blocks[0], blocks[1])
-
-
-class TestShardingProperty:
-    @given(
-        windows=st.lists(st.integers(1, 6), min_size=1, max_size=4),
-        seed=st.integers(0, 50),
-        point_index=st.integers(0, 3),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_batch_windows_reproduce_the_tape_run(
-        self, windows, seed, point_index
-    ):
-        # Any partition of the shot range into ShotSeeds windows, executed
-        # by the batch engine, concatenates to the unsharded tape run.
-        shots = sum(windows)
-        seeds = ShotSeeds(seed=seed, point_index=point_index)
-        tape_bits, tape_amps = _run("feynman-tape", DEPOL, shots, seeds)
-        pieces = []
-        start = 0
-        for width in windows:
-            pieces.append(
-                _run("feynman-batch", DEPOL, width, seeds.shifted(start))
-            )
-            start += width
-        batch_bits = np.concatenate([piece[0] for piece in pieces])
-        batch_amps = np.concatenate([piece[1] for piece in pieces])
-        assert np.array_equal(tape_bits, batch_bits)
-        assert np.array_equal(tape_amps, batch_amps)
-
-
-class TestDrawSparse:
-    def _sites(self, channel: PauliChannel):
-        return _compiled().tape.noise_sites(GateNoiseModel(channel))
-
-    def test_deterministic_under_equal_generators(self):
-        sites = self._sites(PauliChannel.depolarizing(0.05))
-        first = sites.draw_sparse(32, np.random.default_rng(3))
-        second = sites.draw_sparse(32, np.random.default_rng(3))
-        for left, right in zip(first, second):
-            assert np.array_equal(left, right)
-
-    def test_events_are_valid_sorted_and_unique(self):
-        sites = self._sites(PauliChannel.depolarizing(0.2))
-        shots = 16
-        site, shot, code = sites.draw_sparse(shots, np.random.default_rng(1))
-        assert len(site) > 0  # p = 0.2 over hundreds of cells
-        assert ((site >= 0) & (site < sites.n_sites)).all()
-        assert ((shot >= 0) & (shot < shots)).all()
-        assert np.isin(code, [1, 2, 3]).all()
-        flat = site * shots + shot
-        assert (np.diff(flat) > 0).all()  # sorted, no duplicate cells
-
-    def test_trivial_channel_yields_no_sites_and_no_events(self):
-        sites = self._sites(PauliChannel.phase_flip(0.0))
-        assert sites.n_sites == 0
-        site, shot, code = sites.draw_sparse(8, np.random.default_rng(0))
-        assert len(site) == len(shot) == len(code) == 0
-
-    def test_phase_flip_draws_only_z(self):
-        sites = self._sites(PauliChannel.phase_flip(0.3))
-        _, _, code = sites.draw_sparse(16, np.random.default_rng(7))
-        assert len(code) > 0
-        assert (code == 3).all()
 
 
 def _reference_shot_fidelities(
@@ -215,7 +115,7 @@ def _reference_shot_fidelities(
 
 
 class TestVectorisedFidelity:
-    @pytest.mark.parametrize("engine_name", ["feynman-tape", "feynman-batch"])
+    @pytest.mark.parametrize("engine_name", ["feynman-interp", "feynman-tape"])
     @pytest.mark.parametrize("reduced", [False, True])
     def test_matches_reference_loop_bit_for_bit(self, engine_name, reduced):
         compiled = _compiled()

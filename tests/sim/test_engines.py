@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.cache.fingerprint import run_fingerprint
 from repro.circuit import QuantumCircuit
 from repro.circuit import ir
 from repro.qram import ClassicalMemory, make_architecture
+from repro.scenarios.run import resolve_run, run_scenario
 from repro.sim import (
     DepolarizingNoise,
     Engine,
@@ -67,6 +69,22 @@ class TestRegistry:
             "feynman-batch",
             "statevector",
         } <= set(available_engines())
+
+    def test_feynman_batch_is_an_alias_of_the_tape_engine(self):
+        assert get_engine("feynman-batch") is get_engine("feynman-tape")
+        # The requested name, not the instance's, labels records and keys
+        # the cache, so artefacts stamped "feynman-batch" stay valid.
+        records = run_scenario(
+            "ideal-m3", shots=4, seed=7, workers=1, engine="feynman-batch"
+        )
+        assert {record["engine"] for record in records} == {"feynman-batch"}
+        spec, _, _, engine_name, fingerprint = resolve_run(
+            "ideal-m3", shots=4, seed=7, engine="feynman-batch"
+        )
+        assert engine_name == "feynman-batch"
+        assert fingerprint == run_fingerprint(
+            spec, seed=7, shots=4, engine="feynman-batch"
+        )
 
     def test_get_engine_by_name_and_instance(self):
         engine = get_engine("feynman-tape")
@@ -313,7 +331,7 @@ class TestEngineErrors:
         circuit = QuantumCircuit(1)
         circuit.h(0)
         state = PathState.from_basis_assignments([({}, 1.0)], 1)
-        for name in ("feynman-interp", "feynman-tape", "feynman-batch"):
+        for name in ("feynman-interp", "feynman-tape"):
             out = get_engine(name).run(circuit, state)
             assert out.num_paths == 2
             assert np.allclose(np.abs(out.amplitudes), 1 / np.sqrt(2))
@@ -323,9 +341,22 @@ class TestEngineErrors:
         for qubit in range(circuit.num_qubits):
             circuit.h(qubit)
         state = PathState.from_basis_assignments([({}, 1.0)], circuit.num_qubits)
-        for name in ("feynman-interp", "feynman-tape", "feynman-batch"):
+        for name in ("feynman-interp", "feynman-tape"):
             with pytest.raises(ir.BranchBudgetError, match="branch budget"):
                 get_engine(name).run(circuit, state)
+
+    @pytest.mark.parametrize(
+        "name", ["feynman-interp", "feynman-tape", "statevector"]
+    )
+    def test_non_positive_shot_counts_rejected(self, name):
+        circuit = QuantumCircuit(1)
+        circuit.x(0)
+        state = PathState.from_basis_assignments([({}, 1.0)], 1)
+        for shots in (0, -2):
+            with pytest.raises(ValueError, match="shots"):
+                get_engine(name).run_noisy_shots(
+                    circuit, state, NoiselessModel(), shots
+                )
 
     def test_statevector_engine_rejects_branching_shot_blocks(self):
         # With H the dense output has more paths than the input, which the
@@ -379,6 +410,36 @@ class TestEngineErrors:
             get_engine(name).run(circuit, state)
             assert np.array_equal(state.bits, before_bits)
             assert np.array_equal(state.amplitudes, before_amps)
+
+
+class TestMeasuredNoiselessRuns:
+    """``run`` samples mid-circuit outcomes identically on both Feynman engines."""
+
+    @staticmethod
+    def _circuit() -> QuantumCircuit:
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 2)
+        first = circuit.measure(0)
+        second = circuit.measure(1, basis="X")
+        circuit.cpauli("X", 2, [first, second])
+        circuit.h(1)
+        return circuit
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_interp_and_tape_agree_bit_for_bit(self, seed):
+        # rng=None must fall back to the same fixed stream on both engines.
+        circuit = self._circuit()
+        state = PathState.register_superposition(3, [0, 1])
+        outputs = [
+            get_engine(name).run(
+                circuit,
+                state,
+                rng=None if seed is None else np.random.default_rng(seed),
+            )
+            for name in ("feynman-interp", "feynman-tape")
+        ]
+        assert np.array_equal(outputs[0].bits, outputs[1].bits)
+        assert np.array_equal(outputs[0].amplitudes, outputs[1].amplitudes)
 
 
 class TestFacade:

@@ -20,6 +20,7 @@ from repro.sim.noise import (
     GateNoiseModel,
     PauliChannel,
 )
+from repro.sim.seeding import draw_shot_randomness
 
 
 class TestSampleThresholdedEdges:
@@ -78,7 +79,8 @@ class TestEmptySiteWindows:
         table = compile_circuit(circuit).noise_sites(NoiselessModel())
         assert table.n_sites == 0
         assert table.draw(4, np.random.default_rng(0)).shape == (0, 4)
-        assert table.draw_per_shot(ShotSeeds(seed=3), 5).shape == (0, 5)
+        codes, _ = draw_shot_randomness(table, ShotSeeds(seed=3), 5)
+        assert codes.shape == (0, 5)
 
     def test_gateless_circuit_yields_empty_table(self):
         circuit = QuantumCircuit(3)

@@ -102,20 +102,6 @@ class TestEngineCrossAgreementUnderShotSeeds:
         assert np.array_equal(tape_bits, interp_bits)
         assert np.array_equal(tape_amps, interp_amps)
 
-    def test_batch_matches_tape_bit_for_bit(self):
-        architecture = _architecture()
-        compiled = architecture.compiled_query()
-        noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
-        seeds = ShotSeeds(seed=3, point_index=1)
-        tape_bits, tape_amps = get_engine("feynman-tape").run_noisy_shots(
-            compiled.circuit, compiled.input_state, noise, 8, rng=seeds
-        )
-        batch_bits, batch_amps = get_engine("feynman-batch").run_noisy_shots(
-            compiled.circuit, compiled.input_state, noise, 8, rng=seeds
-        )
-        assert np.array_equal(tape_bits, batch_bits)
-        assert np.array_equal(tape_amps, batch_amps)
-
 
 class TestHighLevelHelpersAreWorkerInvariant:
     def test_run_query_experiment_matches_across_runners(self):
