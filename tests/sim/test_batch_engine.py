@@ -4,12 +4,15 @@ The Feynman engines execute every shot of a batch in one stacked block.
 These tests pin the block's degenerate corners on the default
 ``"feynman-tape"`` engine (noise-free runs under every rng flavour,
 bulk-generator determinism, measured circuits against the interpreted
-reference) and the vectorised per-shot fidelity reduction against its
-reference loop.
+reference, every-site and phase-only noise against the interpreter), as a
+hypothesis property over arbitrary ``ShotSeeds`` sharding windows, and the
+vectorised per-shot fidelity reduction against its reference loop.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
 from repro.experiments.common import random_memory
@@ -49,12 +52,41 @@ def _assert_blocks_equal(left, right):
 
 
 class TestEdgeCases:
+    def test_zero_shots_rejected(self):
+        with pytest.raises(ValueError, match="shots"):
+            _run("feynman-tape", DEPOL, 0, ShotSeeds(seed=0))
+
+    def test_negative_shots_rejected(self):
+        with pytest.raises(ValueError, match="shots"):
+            _run("feynman-tape", DEPOL, -3, ShotSeeds(seed=0))
+
     @pytest.mark.parametrize("rng", [None, np.random.default_rng(1)])
     def test_noise_free_run_ignores_the_rng_flavour(self, rng):
         # Without noise sites nothing is drawn: every rng flavour must give
         # the same block as the seeded per-shot mode.
         seeded = _run("feynman-tape", NoiselessModel(), 6, ShotSeeds(seed=5))
         _assert_blocks_equal(seeded, _run("feynman-tape", NoiselessModel(), 6, rng))
+
+    def test_every_shot_shares_one_pattern(self):
+        # p_x = 1: every site errs on every shot, so all 8 shots carry the
+        # same full error pattern; the stacked block must still match the
+        # interpreter's per-shot loop.
+        noise = GateNoiseModel(PauliChannel(p_x=1.0))
+        seeds = ShotSeeds(seed=2)
+        _assert_blocks_equal(
+            _run("feynman-interp", noise, 8, seeds),
+            _run("feynman-tape", noise, 8, seeds),
+        )
+
+    def test_pure_z_noise_matches_the_interpreter(self):
+        # Phase-flip noise only ever flips signs: no bit changes, yet the
+        # signs must match the interpreter bit for bit.
+        noise = GateNoiseModel(PauliChannel.phase_flip(0.2))
+        seeds = ShotSeeds(seed=9)
+        _assert_blocks_equal(
+            _run("feynman-interp", noise, 16, seeds),
+            _run("feynman-tape", noise, 16, seeds),
+        )
 
     def test_generator_mode_is_deterministic_per_seed(self):
         first = _run("feynman-tape", DEPOL, 16, np.random.default_rng(8))
@@ -79,6 +111,36 @@ class TestEdgeCases:
             for name in ("feynman-interp", "feynman-tape")
         ]
         _assert_blocks_equal(blocks[0], blocks[1])
+
+
+class TestShardingProperty:
+    @given(
+        windows=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        seed=st.integers(0, 50),
+        point_index=st.integers(0, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_tape_windows_reproduce_the_unsharded_run(
+        self, windows, seed, point_index
+    ):
+        # Any partition of the shot range into ShotSeeds windows, executed
+        # window by window, concatenates to the unsharded run.
+        shots = sum(windows)
+        seeds = ShotSeeds(seed=seed, point_index=point_index)
+        whole_bits, whole_amps = _run("feynman-tape", DEPOL, shots, seeds)
+        pieces = []
+        start = 0
+        for width in windows:
+            pieces.append(
+                _run("feynman-tape", DEPOL, width, seeds.shifted(start))
+            )
+            start += width
+        assert np.array_equal(
+            whole_bits, np.concatenate([piece[0] for piece in pieces])
+        )
+        assert np.array_equal(
+            whole_amps, np.concatenate([piece[1] for piece in pieces])
+        )
 
 
 def _reference_shot_fidelities(
