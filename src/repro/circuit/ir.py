@@ -2,10 +2,9 @@
 
 Interpreting a :class:`~repro.circuit.circuit.QuantumCircuit` instruction by
 instruction costs a Python-level string dispatch, attribute lookups and a
-fresh set of NumPy temporaries per gate, and the Monte-Carlo noise runner on
-top of it used to draw one ``rng.choice`` per (gate, qubit) error site.  For
-the paper's sweeps the same circuit is executed thousands of times, so this
-module compiles a circuit **once** into a :class:`GateTape`:
+fresh set of NumPy temporaries per gate.  For the paper's sweeps the same
+circuit is executed thousands of times, so this module compiles a circuit
+**once** into a :class:`GateTape`:
 
 * every gate becomes an integer opcode plus packed ``int32`` operand arrays;
 * consecutive gates with the same opcode acting on **pairwise-disjoint**
@@ -13,7 +12,8 @@ module compiles a circuit **once** into a :class:`GateTape`:
   apply as a single batched NumPy column operation (QRAM circuits are full of
   such runs: router-tree levels are layers of parallel ``SWAP``/``CSWAP``);
 * a :class:`NoiseSiteTable` enumerates every (gate, qubit) error site of a
-  noise model so all Pauli codes for a shot batch can be drawn up front.
+  noise model so each shot's Pauli codes can be drawn up front from its own
+  :class:`~repro.sim.seeding.ShotSeeds` stream.
 
 Fusing is only performed when it is *exactly* equivalent to sequential
 application: gates inside a group touch disjoint qubit sets, so they commute
@@ -210,12 +210,12 @@ class TapeGroup:
 class NoiseSiteTable:
     """Every (gate, qubit) error site of a noise model, in execution order.
 
-    The site order is exactly the order the interpreted runner samples in
-    (gates in instruction order, operand qubits in gate order, trivial
-    channels skipped, then the model's end-of-circuit sites), so drawing all
-    codes up front with :meth:`draw` consumes the random stream identically
-    and reproduces the interpreted engine's trajectories bit for bit under a
-    fixed seed.  End-of-circuit sites carry ``gate_index == -1`` and
+    The site order is exactly the order the interpreted runner applies
+    errors in (gates in instruction order, operand qubits in gate order,
+    trivial channels skipped, then the model's end-of-circuit sites), so
+    drawing a shot's codes up front with :meth:`draw_shot` consumes its
+    stream identically and reproduces the interpreted engine's trajectories
+    bit for bit.  End-of-circuit sites carry ``gate_index == -1`` and
     ``group_index == num_groups``.
     """
 
@@ -254,29 +254,15 @@ class NoiseSiteTable:
             object.__setattr__(self, "_run_cache", tuple(runs))
         return self._run_cache
 
-    def draw(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw Pauli codes for every site: shape ``(n_sites, shots)``.
-
-        Consecutive sites sharing a channel are drawn in one bulk
-        ``rng.choice`` call, which consumes the generator exactly like the
-        equivalent sequence of per-site :meth:`PauliChannel.sample` calls.
-        """
-        if self.n_sites == 0:
-            return np.empty((0, shots), dtype=np.int64)
-        codes = np.empty((self.n_sites, shots), dtype=np.int64)
-        for start, stop, channel in self._channel_runs():
-            codes[start:stop] = channel.sample_block(rng, stop - start, shots)
-        return codes
-
     def draw_shot(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one shot's Pauli codes from its own generator: ``(n_sites,)``.
 
-        This is the per-shot seeded mode used by deterministic sharding
-        (:class:`repro.sim.seeding.ShotSeeds`): the codes for a shot depend
-        only on that shot's generator, so any partition of a shot range into
-        shards reproduces the unsharded batch exactly.  Sites are drawn in
-        execution order via the threshold sampler, one ``rng.random`` value
-        per site.
+        This is the only way codes are drawn (see
+        :func:`repro.sim.seeding.draw_shot_randomness`): the codes for a shot
+        depend only on that shot's generator, so any partition of a shot
+        range into shards reproduces the unsharded batch exactly.  Sites are
+        drawn in execution order via the threshold sampler, one
+        ``rng.random`` value per site.
         """
         codes = np.empty(self.n_sites, dtype=np.int64)
         for start, stop, channel in self._channel_runs():

@@ -251,7 +251,7 @@ class QRAMArchitecture:
         *,
         input_state: PathState | None = None,
         reduced: bool = True,
-        rng: np.random.Generator | ShotSeeds | int | None = None,
+        rng: ShotSeeds | np.random.Generator | int | None = None,
         engine=None,
     ) -> QueryResult:
         """Monte-Carlo noisy query returning per-shot fidelities.
@@ -268,15 +268,15 @@ class QRAMArchitecture:
             Compute the reduced fidelity over address + bus (True, the
             operational figure of merit) or the full-state overlap (False).
         rng:
-            Seed or generator for reproducibility, or a
-            :class:`~repro.sim.seeding.ShotSeeds` window for the per-shot
-            seeded streams deterministic sharding relies on.
+            Random source, resolved to a per-shot
+            :class:`~repro.sim.seeding.ShotSeeds` window by
+            :func:`~repro.sim.seeding.as_shot_seeds`: the window itself (as
+            deterministic sharding passes it), an int seed, a generator
+            (which contributes one seed) or ``None`` for fresh entropy.
         engine:
             Execution engine name or instance (see :mod:`repro.sim.engine`);
             ``None`` uses the session default (``"feynman-tape"``).
         """
-        if isinstance(rng, (int, np.integer)) or rng is None:
-            rng = np.random.default_rng(rng)
         noise = NoiselessModel() if noise is None else noise
         if input_state is None:
             compiled = self.compiled_query()

@@ -7,20 +7,20 @@ under Monte-Carlo Pauli noise?" -- so both are captured behind one
 
 ``"feynman-interp"``
     The original instruction-at-a-time Feynman-path runner: string dispatch
-    per gate, one ``rng`` draw per (gate, qubit) error site.  Kept as the
-    readable reference implementation and the baseline for
+    per gate, with each error site applied right after its gate.  Kept as
+    the readable reference implementation and the baseline for
     ``benchmarks/bench_compiled_engine.py``.
 
 ``"feynman-tape"``
     The compiled engine (the default).  Executes the fused
     :class:`~repro.circuit.ir.GateTape` group by group with integer-opcode
-    dispatch, draws **all** Pauli codes for a shot batch up front from the
-    tape's noise-site table, and applies the (sparse) error events as
-    per-shot row-slice updates.  Under a fixed seed it consumes the random
-    stream identically to ``"feynman-interp"`` and reproduces its shot
-    fidelities bit for bit on the QRAM gate set (permutation gates plus
-    exact ``+-1`` / ``+-i`` phases); fused ``T``/``TDG`` runs use a phase
-    table whose rounding can differ from sequential multiplication by ~1 ulp.
+    dispatch, draws every shot's Pauli codes up front from the tape's
+    noise-site table, and applies the (sparse) error events as per-shot
+    row-slice updates.  It consumes each shot's stream identically to
+    ``"feynman-interp"`` and reproduces its shot fidelities bit for bit on
+    the QRAM gate set (permutation gates plus exact ``+-1`` / ``+-i``
+    phases); fused ``T``/``TDG`` runs use a phase table whose rounding can
+    differ from sequential multiplication by ~1 ulp.
 
 ``"feynman-batch"``
     An alias of ``"feynman-tape"`` (the same registered instance), kept so
@@ -63,14 +63,17 @@ executed-teleportation primitives):
 * ``CPAULI`` applies its Pauli to the shots whose recorded classical bits
   XOR to 1 -- Pauli-frame feedforward, executed per shot.
 
-**Random-stream contract.**  Per shot, measurement uniforms are drawn
-*first* (one per ``MEASURE`` in program order -- see
+**Random-stream contract.**  Noisy runs draw only from per-shot
+:class:`~repro.sim.seeding.ShotSeeds` streams: any ``rng`` argument is
+resolved by :func:`~repro.sim.seeding.as_shot_seeds` and drawn through
+:func:`~repro.sim.seeding.draw_shot_randomness`.  Per shot, measurement
+uniforms are drawn *first* (one per ``MEASURE`` in program order -- see
 :attr:`~repro.circuit.ir.GateTape.measurements`), then the noise-site codes
-in site order.  All Feynman engines consume streams identically, so seeded
-trajectories of measured circuits stay bit-identical across engines and
-across any ``(workers, shard_size)`` sweep split; circuits without
-measurements consume exactly the pre-measurement streams, preserving every
-committed artefact bit for bit.
+in site order.  Both Feynman engines consume streams identically, so their
+trajectories stay bit-identical to each other and across any
+``(workers, shard_size)`` sweep split; circuits without measurements consume
+exactly the pre-measurement streams, preserving every committed artefact bit
+for bit.
 
 Bounded path branching (``H``)
 ------------------------------
@@ -136,7 +139,7 @@ from repro.sim.noise import (
     PAULI_Z,
 )
 from repro.sim.paths import PathState
-from repro.sim.seeding import ShotSeeds, draw_shot_randomness
+from repro.sim.seeding import ShotSeeds, as_shot_seeds, draw_shot_randomness
 
 
 def _check_state(circuit: QuantumCircuit, state: PathState) -> None:
@@ -327,7 +330,7 @@ class Engine:
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | np.random.Generator | int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Monte-Carlo trajectories: ``shots`` stacked path blocks.
 
@@ -335,12 +338,13 @@ class Engine:
         ``(shots * n_paths, n_qubits)``; rows ``[s * n_paths, (s+1) * n_paths)``
         belong to shot ``s``.
 
-        ``rng`` is either a shared batch generator (one stream for the whole
-        block, the historical behaviour) or a pre-spawned
-        :class:`~repro.sim.seeding.ShotSeeds` window, in which case every
-        shot draws its errors from its own ``SeedSequence``-derived stream
-        and the result is invariant under any sharding of the shot range.
-        This is :meth:`run_noisy_shots_recorded` without the register.
+        ``rng`` is resolved to a :class:`~repro.sim.seeding.ShotSeeds` window
+        (:func:`~repro.sim.seeding.as_shot_seeds`: an int seed, a generator
+        that contributes one seed, ``None`` for fresh entropy, or the window
+        itself).  Every shot draws its randomness from its own
+        ``SeedSequence``-derived stream, so the result is invariant under
+        any sharding of the shot range.  This is
+        :meth:`run_noisy_shots_recorded` without the register.
         """
         bits, amps, _ = self.run_noisy_shots_recorded(
             circuit, state, noise, shots, rng=rng
@@ -353,7 +357,7 @@ class Engine:
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | np.random.Generator | int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Like :meth:`run_noisy_shots`, plus the recorded classical register.
 
@@ -428,7 +432,7 @@ class InterpretedFeynmanEngine(Engine):
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | np.random.Generator | int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Monte-Carlo shots plus the recorded register (see :class:`Engine`)."""
         if shots <= 0:
@@ -437,59 +441,30 @@ class InterpretedFeynmanEngine(Engine):
 
         noiseless = isinstance(noise, NoiselessModel)
         n_measurements = tape.num_measurements
-        # Per-shot seeded mode: pre-draw every shot's randomness column by
-        # column from its own stream, in the contract order -- measurement
-        # uniforms first, then the site codes in the exact order the loop
-        # below consumes them (gates in instruction order, trivial channels
-        # skipped, end-of-circuit channels last -- the same filter as the
-        # loop, so a running cursor stays aligned).  The sites are enumerated
-        # here rather than through GateTape.noise_sites so interp keeps
-        # supporting off-operand error placements the fused tape must reject;
-        # for the QRAM noise models both enumerations are identical, which is
-        # what keeps the engines' seeded trajectories bit-for-bit equal.
-        site_codes: np.ndarray | None = None
-        measure_uniforms: np.ndarray | None = None
+        # Pre-draw every shot's randomness in the contract order: measurement
+        # uniforms, then one code per non-trivial site in the order the loop
+        # below applies them (gates in instruction order, end-of-circuit
+        # channels last), so a running cursor stays aligned.  Interp
+        # enumerates its own sites rather than using GateTape.noise_sites so
+        # it keeps supporting off-operand placements the fused tape must
+        # reject; drawing reads only the channel sequence.
+        sites: NoiseSiteTable | None = None
+        if not noiseless:
+            gates = (instr for instr in circuit.instructions if not instr.is_barrier)
+            channels = [
+                channel
+                for index, instr in enumerate(gates)
+                for _, channel in noise.gate_error_channels_indexed(index, instr)
+            ]
+            channels += [channel for _, channel in noise.final_error_channels()]
+            channels = tuple(c for c in channels if not c.is_trivial)
+            placeholder = np.zeros(len(channels), dtype=np.int32)
+            sites = NoiseSiteTable(placeholder, placeholder, placeholder, channels)
+        site_codes, measure_uniforms = draw_shot_randomness(
+            sites, as_shot_seeds(rng), shots, n_measurements
+        )
         site_cursor = 0
         measure_cursor = 0
-        if isinstance(rng, ShotSeeds):
-            sites: NoiseSiteTable | None = None
-            if not noiseless:
-                channels = [
-                    channel
-                    for gate_index, instr in enumerate(
-                        instr
-                        for instr in circuit.instructions
-                        if not instr.is_barrier
-                    )
-                    for _, channel in noise.gate_error_channels_indexed(
-                        gate_index, instr
-                    )
-                    if not channel.is_trivial
-                ]
-                channels.extend(
-                    channel
-                    for _, channel in noise.final_error_channels()
-                    if not channel.is_trivial
-                )
-                # Drawing consumes only the channel sequence; the positional
-                # columns of the table are irrelevant here.
-                placeholder = np.zeros(len(channels), dtype=np.int32)
-                sites = NoiseSiteTable(
-                    gate_index=placeholder,
-                    qubit=placeholder,
-                    group_index=placeholder,
-                    channels=tuple(channels),
-                )
-            if sites is not None or n_measurements:
-                site_codes, measure_uniforms = draw_shot_randomness(
-                    sites, rng, shots, n_measurements
-                )
-        else:
-            rng = np.random.default_rng() if rng is None else rng
-            if n_measurements:
-                # Batch mode draws the measurement block up front too, so the
-                # stream consumption matches the compiled engine exactly.
-                measure_uniforms = rng.random((n_measurements, shots))
 
         outcomes: np.ndarray | None = None
         if tape.num_clbits:
@@ -499,13 +474,10 @@ class InterpretedFeynmanEngine(Engine):
         bits = np.tile(state.bits, (shots, 1))
         amps = np.tile(state.amplitudes, shots).astype(complex)
 
-        def apply_site(qubit: int, channel) -> None:
+        def apply_site(qubit: int) -> None:
             nonlocal site_cursor
-            if site_codes is not None:
-                shot_codes = site_codes[site_cursor]
-                site_cursor += 1
-            else:
-                shot_codes = channel.sample(rng, shots)
+            shot_codes = site_codes[site_cursor]
+            site_cursor += 1
             if not np.any(shot_codes != PAULI_I):
                 return
             row_codes = np.repeat(shot_codes, n_paths)
@@ -548,15 +520,13 @@ class InterpretedFeynmanEngine(Engine):
                 for qubit, channel in noise.gate_error_channels_indexed(
                     gate_index, instr
                 ):
-                    if channel.is_trivial:
-                        continue
-                    apply_site(qubit, channel)
+                    if not channel.is_trivial:
+                        apply_site(qubit)
             gate_index += 1
         if not noiseless:
             for qubit, channel in noise.final_error_channels():
-                if channel.is_trivial:
-                    continue
-                apply_site(qubit, channel)
+                if not channel.is_trivial:
+                    apply_site(qubit)
         return bits, amps, outcomes
 
 
@@ -589,34 +559,22 @@ class TapeFeynmanEngine(Engine):
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | np.random.Generator | int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Monte-Carlo shots plus the recorded register (see :class:`Engine`)."""
         if shots <= 0:
             raise ValueError("shots must be positive")
         tape = _checked_tape(circuit, state)
-        # One up-front draw for every (gate, qubit) error site of the batch,
-        # plus one uniform per (measurement, shot) -- measurement uniforms
-        # first, matching the interpreted engine's consumption order.  A
-        # ShotSeeds window consumes each shot's own stream in that contract
-        # order, which is what makes sharded sweeps bit-identical to serial
-        # ones; a shared generator draws the whole batch at once.
+        # One up-front draw per shot from its own stream: one uniform per
+        # measurement first, then one code per (gate, qubit) error site --
+        # the interpreted engine's consumption order, and what makes sharded
+        # sweeps bit-identical to serial ones.
         sites: NoiseSiteTable | None = (
             None if isinstance(noise, NoiselessModel) else tape.noise_sites(noise)
         )
-        n_measurements = tape.num_measurements
-        codes = measure_uniforms = None
-        if isinstance(rng, ShotSeeds):
-            if sites is not None or n_measurements:
-                codes, measure_uniforms = draw_shot_randomness(
-                    sites, rng, shots, n_measurements
-                )
-        else:
-            rng = np.random.default_rng() if rng is None else rng
-            if n_measurements:
-                measure_uniforms = rng.random((n_measurements, shots))
-            if sites is not None:
-                codes = sites.draw(shots, rng)
+        codes, measure_uniforms = draw_shot_randomness(
+            sites, as_shot_seeds(rng), shots, tape.num_measurements
+        )
         return _execute_stacked_shots(
             tape, state, shots, sites, codes, measure_uniforms
         )
@@ -743,7 +701,7 @@ class StatevectorEngine(Engine):
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | np.random.Generator | int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Noiseless-only shot blocks (the dense engine cannot sample Pauli noise)."""
         if shots <= 0:
@@ -784,7 +742,7 @@ class StatevectorEngine(Engine):
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | np.random.Generator | int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Unsupported: the dense engine replays one trajectory, not per-shot records."""
         raise NotImplementedError(

@@ -20,9 +20,9 @@ Pauli errors are applied as masked column updates.
 engines of :mod:`repro.sim.engine`.  By default it uses the compiled
 ``"feynman-tape"`` engine, which executes the circuit's fused
 :class:`~repro.circuit.ir.GateTape` with integer-opcode dispatch and draws
-all Monte-Carlo Pauli codes up front; pass ``engine="feynman-interp"`` for
-the original instruction-at-a-time runner (bit-identical trajectories under
-a fixed seed on the QRAM gate set -- fused ``T`` runs can differ by ~1 ulp)
+every shot's Pauli codes up front; pass ``engine="feynman-interp"`` for
+the original instruction-at-a-time runner (bit-identical trajectories on
+the QRAM gate set -- fused ``T`` runs can differ by ~1 ulp)
 or ``engine="statevector"`` for the dense reference simulator (noiseless
 only).
 """
@@ -141,15 +141,17 @@ class FeynmanPathSimulator:
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | np.random.Generator | int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Simulate ``shots`` Monte-Carlo noise samples in one vectorised pass.
 
         Returns the final ``bits`` block of shape ``(shots * n_paths, n_qubits)``
         and the matching amplitude vector.  Rows ``[s * n_paths, (s+1) * n_paths)``
-        belong to shot ``s``.  Passing a :class:`~repro.sim.seeding.ShotSeeds`
-        window as ``rng`` selects per-shot seeded error streams (the
-        deterministic-sharding mode of :mod:`repro.sweep`).
+        belong to shot ``s``.  ``rng`` resolves to a
+        :class:`~repro.sim.seeding.ShotSeeds` window
+        (:func:`~repro.sim.seeding.as_shot_seeds`), so every shot draws its
+        errors from its own stream -- the contract the deterministic sharding
+        of :mod:`repro.sweep` relies on.
         """
         return self._resolve_engine().run_noisy_shots(
             circuit, state, noise, shots, rng=rng
@@ -161,7 +163,7 @@ class FeynmanPathSimulator:
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | np.random.Generator | int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Like :meth:`run_noisy_shots`, plus the recorded measurement outcomes.
 
@@ -183,7 +185,7 @@ class FeynmanPathSimulator:
         *,
         keep_qubits: list[int] | None = None,
         ideal_output: PathState | None = None,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | np.random.Generator | int | None = None,
         postselect: tuple[tuple[int, int], ...] | None = None,
     ) -> QueryResult:
         """Monte-Carlo estimate of the query fidelity under ``noise``.
@@ -207,7 +209,11 @@ class FeynmanPathSimulator:
             Pre-computed noiseless output (saves a simulation when sweeping
             noise parameters over the same circuit).
         rng:
-            NumPy random generator for reproducibility.
+            Random source, resolved to a per-shot
+            :class:`~repro.sim.seeding.ShotSeeds` window by
+            :func:`~repro.sim.seeding.as_shot_seeds`: the window itself, an
+            int seed, a generator (which contributes one seed) or ``None``
+            for fresh entropy.
         postselect:
             ``(cbit, expected_outcome)`` pairs to postselect on: a shot is
             *kept* only when every listed classical slot recorded its
@@ -216,7 +222,6 @@ class FeynmanPathSimulator:
             aggregate, with :attr:`QueryResult.kept_fraction` accounting for
             them.  ``None`` (or empty) keeps every shot.
         """
-        rng = np.random.default_rng() if rng is None else rng
         if ideal_output is None:
             ideal_output = self.run(circuit, input_state)
         kept: np.ndarray | None = None

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.circuit.circuit import QuantumCircuit
 
 
-#: Integer codes used when sampling Paulis in bulk.
+#: Integer Pauli codes returned by :meth:`PauliChannel.sample_thresholded`.
 PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = 0, 1, 2, 3
 
 _PAULI_NAMES = {PAULI_X: "X", PAULI_Y: "Y", PAULI_Z: "Z"}
@@ -75,41 +75,17 @@ class PauliChannel:
             p_x=self.p_x * factor, p_y=self.p_y * factor, p_z=self.p_z * factor
         )
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Sample ``size`` Pauli codes (0=I, 1=X, 2=Y, 3=Z)."""
-        return self.sample_block(rng, 1, size)[0]
-
-    def sample_block(
-        self, rng: np.random.Generator, n_sites: int, shots: int
-    ) -> np.ndarray:
-        """Sample codes for ``n_sites`` error sites at once: ``(n_sites, shots)``.
-
-        Drawn in one ``rng.choice`` call, which consumes the generator exactly
-        like ``n_sites`` successive :meth:`sample` calls of ``shots`` codes
-        each -- the property the compiled engine relies on to reproduce the
-        interpreted engine's trajectories under a fixed seed.
-        """
-        return rng.choice(
-            np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]),
-            size=(n_sites, shots),
-            p=[1.0 - self.p_total, self.p_x, self.p_y, self.p_z],
-        )
-
     def sample_thresholded(
         self, rng: np.random.Generator, size: int
     ) -> np.ndarray:
-        """Sample ``size`` codes via one uniform draw per site.
+        """Sample ``size`` Pauli codes (0=I, 1=X, 2=Y, 3=Z), one uniform each.
 
         Each uniform variate is mapped through the cumulative
         ``(I, X, Y, Z)`` thresholds with a single ``searchsorted``, so the
         call consumes exactly ``size`` values of ``rng.random`` regardless of
-        the channel.  This is the sampler behind the per-shot seeded mode
-        (:class:`repro.sim.seeding.ShotSeeds`): it is an order of magnitude
-        cheaper than ``rng.choice`` for the one-shot columns that mode draws,
-        which is what keeps deterministic sharding competitive with the bulk
-        batch draw.  The stream consumption differs from :meth:`sample`, so
-        the two modes produce different (but individually reproducible)
-        trajectories.
+        the channel.  This is the only Pauli sampler: the engines' per-shot
+        draw (:func:`repro.sim.seeding.draw_shot_randomness`) and
+        :func:`sample_noisy_circuit` both go through it.
         """
         cumulative = np.array(
             [
@@ -273,7 +249,7 @@ class QubitOncePauliNoise(NoiseModel):
                 touches.setdefault(q, []).append(index)
         insertions: list[tuple[int, Instruction]] = []
         for qubit, positions in touches.items():
-            code = int(self.channel.sample(rng, 1)[0])
+            code = int(self.channel.sample_thresholded(rng, 1)[0])
             if code == PAULI_I:
                 continue
             position = int(rng.choice(positions))
@@ -402,6 +378,14 @@ def sample_noisy_circuit(
     The returned circuit contains the original instructions plus error
     instructions tagged ``"noise"``.  Logical accounting helpers on
     :class:`~repro.circuit.circuit.QuantumCircuit` know to skip them.
+
+    Gate-based models draw one uniform per non-trivial site, in the engines'
+    noise-site order, through :meth:`PauliChannel.sample_thresholded`.  For a
+    measurement-free circuit, ``sample_noisy_circuit(circuit, noise,
+    seeds.generator(s))`` therefore inserts exactly the Paulis the Feynman
+    engines apply to shot ``s`` of a run under the
+    :class:`~repro.sim.seeding.ShotSeeds` window ``seeds`` -- an independent
+    reference for the engines' random-stream contract.
     """
     from repro.circuit.circuit import QuantumCircuit
 
@@ -423,20 +407,22 @@ def sample_noisy_circuit(
             noisy.append(instr)
         return noisy
 
+    def insert_errors(channels: Iterable[tuple[int, PauliChannel]]) -> None:
+        for qubit, channel in channels:
+            if channel.is_trivial:
+                continue
+            code = int(channel.sample_thresholded(rng, 1)[0])
+            if code != PAULI_I:
+                noisy.append(_pauli_instruction(code, qubit))
+
     gate_index = 0
     for instr in circuit.instructions:
         noisy.append(instr)
         if instr.is_barrier:
             continue
-        for qubit, channel in noise.gate_error_channels_indexed(gate_index, instr):
-            code = int(channel.sample(rng, 1)[0])
-            if code != PAULI_I:
-                noisy.append(_pauli_instruction(code, qubit))
+        insert_errors(noise.gate_error_channels_indexed(gate_index, instr))
         gate_index += 1
-    for qubit, channel in noise.final_error_channels():
-        code = int(channel.sample(rng, 1)[0])
-        if code != PAULI_I:
-            noisy.append(_pauli_instruction(code, qubit))
+    insert_errors(noise.final_error_channels())
     return noisy
 
 

@@ -17,14 +17,15 @@ keyed on ``(seed, point_index, shot_index)``:
 streams are as statistically independent as NumPy's parallel-RNG machinery
 guarantees, and two distinct ``(point, shot)`` coordinates can never collide.
 
-The execution engines (:mod:`repro.sim.engine`) accept a ``ShotSeeds`` in
-place of a ``numpy.random.Generator`` in ``run_noisy_shots``; in that mode
-every shot's Pauli error codes are drawn from the shot's own generator, in
-noise-site order, using the threshold sampler
-(:meth:`repro.sim.noise.PauliChannel.sample_thresholded`).  All Feynman
-engines share this contract, so their trajectories remain bit-identical to
-each other in seeded mode, and any sharding of the shot range reproduces the
-unsharded run exactly.
+This is the only random-stream contract noisy execution has.  Every Feynman
+engine (:mod:`repro.sim.engine`) resolves its ``rng`` argument to a
+``ShotSeeds`` window with :func:`as_shot_seeds` and draws through
+:func:`draw_shot_randomness`: every shot's measurement uniforms and Pauli
+error codes come from the shot's own generator, in noise-site order, via the
+threshold sampler (:meth:`repro.sim.noise.PauliChannel.sample_thresholded`).
+The engines' trajectories are therefore bit-identical to each other, any
+sharding of the shot range reproduces the unsharded run exactly, and the
+first ``n`` shots of a run equal an ``n``-shot run under the same ``rng``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["ShotSeeds", "draw_shot_randomness"]
+__all__ = ["ShotSeeds", "as_shot_seeds", "draw_shot_randomness"]
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,35 @@ class ShotSeeds:
         """A fresh generator for shot ``start + local_shot`` of this window."""
         return np.random.default_rng(self.sequence(local_shot))
 
-    def generators(self, shots: int) -> list[np.random.Generator]:
-        """One independent generator per shot of a ``shots``-wide batch."""
-        return [self.generator(index) for index in range(shots)]
-
     def shifted(self, offset: int) -> "ShotSeeds":
         """The same stream with the window moved ``offset`` shots forward."""
         return replace(self, start=self.start + offset)
+
+
+def as_shot_seeds(
+    rng: ShotSeeds | np.random.Generator | int | None,
+) -> ShotSeeds:
+    """Resolve any accepted ``rng`` argument to the window noisy runs draw from.
+
+    * a :class:`ShotSeeds` window passes through unchanged;
+    * an ``int`` (or NumPy integer) seeds ``ShotSeeds(seed=rng)``;
+    * a :class:`numpy.random.Generator` contributes one 63-bit seed drawn
+      from it, so repeated calls sharing a generator get independent streams
+      while equal generator states give equal results;
+    * ``None`` seeds the window from fresh OS entropy.
+    """
+    if isinstance(rng, ShotSeeds):
+        return rng
+    if rng is None:
+        return ShotSeeds(seed=np.random.SeedSequence().entropy)
+    if isinstance(rng, np.random.Generator):
+        return ShotSeeds(seed=int(rng.integers(2**63)))
+    if isinstance(rng, (int, np.integer)):
+        return ShotSeeds(seed=int(rng))
+    raise TypeError(
+        "rng must be a ShotSeeds window, a numpy Generator, an int seed or "
+        f"None, got {type(rng).__name__}"
+    )
 
 
 def draw_shot_randomness(
@@ -94,18 +117,22 @@ def draw_shot_randomness(
     """Draw every shot's seeded randomness up front: ``(codes, uniforms)``.
 
     This is the single implementation of the per-shot random-stream contract
-    (every Feynman engine delegates here): each shot's generator is consumed
-    in the fixed order -- **measurement uniforms first** (``n_measurements``
-    values), **then the noise-site codes** (one threshold draw per site of
-    ``sites``, a :class:`~repro.circuit.ir.NoiseSiteTable` or ``None``).
+    (every Feynman engine delegates here, after :func:`as_shot_seeds`): each
+    shot's generator is consumed in the fixed order -- **measurement uniforms
+    first** (``n_measurements`` values), **then the noise-site codes** (one
+    threshold draw per site of ``sites``, a
+    :class:`~repro.circuit.ir.NoiseSiteTable` or ``None``).
     Because a shot's draws depend only on its own stream, any sharding of the
     shot range reproduces the unsharded draw exactly.
 
     Returns ``codes`` of shape ``(n_sites, shots)`` (``None`` without a site
     table) and ``uniforms`` of shape ``(n_measurements, shots)`` (``None``
     without measurements); both are laid out shot-per-column so downstream
-    consumers can vectorise across the shot axis.
+    consumers can vectorise across the shot axis.  With neither, no shot
+    stream is built at all.
     """
+    if sites is None and not n_measurements:
+        return None, None
     codes = (
         np.empty((sites.n_sites, shots), dtype=np.int64)
         if sites is not None

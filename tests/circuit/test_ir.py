@@ -148,20 +148,24 @@ class TestNoiseSites:
         noise = GateNoiseModel(PauliChannel.bit_flip(1e-3))
         assert tape.noise_sites(noise) is tape.noise_sites(noise)
 
-    def test_bulk_draw_matches_per_site_sampling(self):
-        # Mixed channels (two_qubit_factor != 1) force several bulk runs; the
-        # stacked result must equal sequential per-site draws from one
-        # generator -- the property the tape engine's seeded equivalence with
-        # the interpreted engine rests on.
+    def test_draw_shot_matches_per_site_sampling(self):
+        # Mixed channels (two_qubit_factor != 1) force several channel runs;
+        # the run-wise draw must equal sequential per-site draws from one
+        # generator -- the property the tape engine's equivalence with the
+        # interpreted engine rests on.
         tape = compile_circuit(_example_circuit())
         noise = GateNoiseModel(
             PauliChannel.depolarizing(0.3), two_qubit_factor=2.0
         )
         sites = tape.noise_sites(noise)
-        bulk = sites.draw(shots=64, rng=np.random.default_rng(3))
+        assert len(sites._channel_runs()) > 1
+        drawn = sites.draw_shot(np.random.default_rng(3))
         sequential_rng = np.random.default_rng(3)
-        manual = np.stack(
-            [channel.sample(sequential_rng, 64) for channel in sites.channels]
+        manual = np.concatenate(
+            [
+                channel.sample_thresholded(sequential_rng, 1)
+                for channel in sites.channels
+            ]
         )
-        assert bulk.shape == (sites.n_sites, 64)
-        assert np.array_equal(bulk, manual)
+        assert drawn.shape == (sites.n_sites,)
+        assert np.array_equal(drawn, manual)

@@ -3,7 +3,7 @@
 The Feynman engines execute every shot of a batch in one stacked block.
 These tests pin the block's degenerate corners on the default
 ``"feynman-tape"`` engine (noise-free runs under every rng flavour,
-bulk-generator determinism, measured circuits against the interpreted
+generator determinism, measured circuits against the interpreted
 reference, every-site and phase-only noise against the interpreter), as a
 hypothesis property over arbitrary ``ShotSeeds`` sharding windows, and the
 vectorised per-shot fidelity reduction against its reference loop.

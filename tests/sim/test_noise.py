@@ -40,7 +40,7 @@ class TestPauliChannel:
     def test_sampling_statistics(self):
         channel = PauliChannel(p_x=0.3, p_z=0.2)
         rng = np.random.default_rng(0)
-        samples = channel.sample(rng, 20000)
+        samples = channel.sample_thresholded(rng, 20000)
         x_fraction = np.mean(samples == 1)
         z_fraction = np.mean(samples == 3)
         assert abs(x_fraction - 0.3) < 0.02

@@ -58,18 +58,35 @@ class TestSampleThresholdedEdges:
         assert a.bit_generator.state == b.bit_generator.state
 
 
-class TestSampleBlockEdges:
-    def test_p_total_zero_block(self, rng):
-        codes = PauliChannel().sample_block(rng, 3, 7)
+def _site_table(*channels: PauliChannel) -> NoiseSiteTable:
+    placeholder = np.zeros(len(channels), dtype=np.int32)
+    return NoiseSiteTable(
+        gate_index=placeholder,
+        qubit=placeholder,
+        group_index=placeholder,
+        channels=channels,
+    )
+
+
+class TestShotBlockEdges:
+    def test_p_total_zero_block(self):
+        codes, _ = draw_shot_randomness(
+            _site_table(*[PauliChannel()] * 3), ShotSeeds(seed=1), 7
+        )
         assert codes.shape == (3, 7)
         assert np.all(codes == PAULI_I)
 
-    def test_p_total_one_block(self, rng):
-        codes = PauliChannel(p_y=1.0).sample_block(rng, 2, 50)
+    def test_p_total_one_block(self):
+        codes, _ = draw_shot_randomness(
+            _site_table(*[PauliChannel(p_y=1.0)] * 2), ShotSeeds(seed=2), 50
+        )
+        assert codes.shape == (2, 50)
         assert np.all(codes == PAULI_Y)
 
-    def test_empty_site_block(self, rng):
-        assert PauliChannel(p_x=0.5).sample_block(rng, 0, 9).shape == (0, 9)
+    def test_empty_site_block(self):
+        codes, uniforms = draw_shot_randomness(_site_table(), ShotSeeds(seed=3), 9)
+        assert codes.shape == (0, 9)
+        assert uniforms is None
 
 
 class TestEmptySiteWindows:
@@ -78,7 +95,7 @@ class TestEmptySiteWindows:
         circuit.add("CX", 0, 1)
         table = compile_circuit(circuit).noise_sites(NoiselessModel())
         assert table.n_sites == 0
-        assert table.draw(4, np.random.default_rng(0)).shape == (0, 4)
+        assert table.draw_shot(np.random.default_rng(0)).shape == (0,)
         codes, _ = draw_shot_randomness(table, ShotSeeds(seed=3), 5)
         assert codes.shape == (0, 5)
 
@@ -96,7 +113,9 @@ class TestEmptySiteWindows:
         table = NoiseSiteTable(
             gate_index=empty, qubit=empty, group_index=empty, channels=()
         )
-        assert table.draw(8, np.random.default_rng(2)).shape == (0, 8)
+        codes, uniforms = draw_shot_randomness(table, ShotSeeds(seed=2), 8, 2)
+        assert codes.shape == (0, 8)
+        assert uniforms.shape == (2, 8)
 
 
 class TestQueryResultStatistics:

@@ -34,9 +34,9 @@ class TestShotSeeds:
 
     def test_generators_matches_generator(self):
         seeds = ShotSeeds(seed=5, point_index=2, start=4)
-        streams = seeds.generators(3)
-        assert len(streams) == 3
-        assert np.array_equal(streams[2].random(4), seeds.generator(2).random(4))
+        streams = [seeds.generator(i) for i in range(3)]
+        absolute = ShotSeeds(seed=5, point_index=2).generator(6)
+        assert np.array_equal(streams[2].random(4), absolute.random(4))
 
     def test_negative_coordinates_rejected(self):
         with pytest.raises(ValueError):
