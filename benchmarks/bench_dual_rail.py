@@ -6,9 +6,9 @@ ablation pair ``bare-bb-m2`` / ``dual-rail-bb-m2`` on the erasure-biased
 dual-rail qubits are built for).  Three properties gate:
 
 * **Zero-noise exactness** (always gates): the encoded bucket-brigade
-  workload reproduces the logical output exactly on all three Feynman
-  engines -- every shot fidelity 1.0 and ``kept_fraction == 1.0`` (every
-  parity check passes).
+  workload reproduces the logical output exactly on the Feynman engine --
+  every shot fidelity 1.0 and ``kept_fraction == 1.0`` (every parity check
+  passes).
 * **Postselected advantage** (always gates): at ``eps_r = 10`` the
   dual-rail variant's postselected fidelity strictly exceeds the bare
   variant's, despite the encoding's ~3x gate overhead.
@@ -41,7 +41,7 @@ from repro.sim.seeding import ShotSeeds
 SEED = 7
 SHOTS = 2048
 FACTOR = 10.0
-ENGINES = ("feynman-interp", "feynman-tape")
+ENGINES = ("feynman-tape",)
 
 
 def _gate_variant(base: str, tag: str):
@@ -53,7 +53,7 @@ def _gate_variant(base: str, tag: str):
 
 
 def _zero_noise_exact() -> bool:
-    """Every engine: all fidelities exactly 1.0 and every check passes."""
+    """All fidelities exactly 1.0 and every check passes."""
     compiled = compile_scenario(get_scenario("dual-rail-bb-m2"), SEED)
     for engine in ENGINES:
         result = FeynmanPathSimulator(engine=engine).query_fidelities(
@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     exact = _zero_noise_exact()
-    print(f"dual-rail zero-noise exact (all engines): {exact}")
+    print(f"dual-rail zero-noise exact: {exact}")
     invariant = _sharding_invariant(dual_spec)
     print(f"records sharding-invariant: {invariant}")
 

@@ -19,7 +19,10 @@ Fusing is only performed when it is *exactly* equivalent to sequential
 application: gates inside a group touch disjoint qubit sets, so they commute
 with each other and with any Pauli error on an earlier group member's
 operands.  That is what lets the noisy engine apply a group's error sites
-after the whole group without changing the sampled trajectory.
+after the whole group without changing the sampled trajectory; the one
+exception, an off-operand site on a qubit a later group member touches, is
+hoisted to just before the group instead (see
+:meth:`GateTape._build_noise_sites`).
 
 Mid-circuit measurement (``MEASURE``) and Pauli-frame feedforward
 (``CPAULI``) compile to their own opcodes with **fusion-barrier** semantics:
@@ -208,21 +211,26 @@ class TapeGroup:
 # ----------------------------------------------------------------- noise sites
 @dataclass(frozen=True)
 class NoiseSiteTable:
-    """Every (gate, qubit) error site of a noise model, in execution order.
+    """Every (gate, qubit) error site of a noise model, in program order.
 
-    The site order is exactly the order the interpreted runner applies
-    errors in (gates in instruction order, operand qubits in gate order,
-    trivial channels skipped, then the model's end-of-circuit sites), so
-    drawing a shot's codes up front with :meth:`draw_shot` consumes its
-    stream identically and reproduces the interpreted engine's trajectories
-    bit for bit.  End-of-circuit sites carry ``gate_index == -1`` and
-    ``group_index == num_groups``.
+    Sites are listed in the order a sequential gate-by-gate run would apply
+    them: gates in instruction order, each gate's sites in the order the
+    model yields them, trivial channels skipped, then the model's
+    end-of-circuit sites.  That order is the draw order of
+    :meth:`draw_shot` and so the random-stream contract.  ``group_index``
+    is the fused group after which each site fires: normally its gate's
+    group, ``gate_group - 1`` for a hoisted site (``-1`` means before the
+    first group; see :meth:`GateTape._build_noise_sites`), and
+    ``num_groups`` for end-of-circuit sites, which carry
+    ``gate_index == -1``.  ``hoisted`` is True when any site is hoisted;
+    only then can ``group_index`` decrease along the site order.
     """
 
     gate_index: np.ndarray  # (n_sites,) int32: index into GateTape.gates
     qubit: np.ndarray  # (n_sites,) int32
     group_index: np.ndarray  # (n_sites,) int32: group after which the site fires
     channels: tuple  # (n_sites,) PauliChannel per site
+    hoisted: bool = False  # some site fires before its gate's group
     _run_cache: tuple | None = field(
         default=None, repr=False, compare=False
     )  # lazily computed (start, stop, channel) runs
@@ -350,59 +358,52 @@ class GateTape:
         return cached
 
     def _build_noise_sites(self, noise: "NoiseModel") -> NoiseSiteTable:
+        """Enumerate ``noise``'s error sites in program order.
+
+        A site fires after its gate's fused group, which is exact because
+        group members act on pairwise-disjoint qubits -- except for an
+        off-operand site (e.g. crosstalk) on a qubit that a *later* gate of
+        the same group touches.  That later gate is the only member touching
+        the qubit and the site precedes it, so the site commutes with every
+        member it would cross and is **hoisted** to fire just before the
+        group (``group_index = gate_group - 1``).  Hoisting changes when a
+        site fires, never the site order, so the draw order is unchanged.
+        """
         gate_index: list[int] = []
         qubits: list[int] = []
+        group_index: list[int] = []
         channels: list["PauliChannel"] = []
         later_in_group: dict[int, set[int]] | None = None
+        hoisted = False
+        gate_group = self.gate_group.tolist()
         for index, instr in enumerate(self.gates):
             for qubit, channel in noise.gate_error_channels_indexed(index, instr):
                 if channel.is_trivial:
                     continue
+                group = gate_group[index]
                 if qubit not in instr.qubits:
-                    # Off-operand site (e.g. a crosstalk model): deferring it
-                    # to the end of the fused group is only sound if no later
-                    # gate in the group touches that qubit.
                     if later_in_group is None:
                         later_in_group = self._later_group_qubits()
                     if qubit in later_in_group[index]:
-                        raise ValueError(
-                            f"noise model places an error on qubit {qubit} "
-                            f"after {instr}, but a later gate in the same "
-                            "fused run touches that qubit; the compiled "
-                            "engine cannot order this -- use "
-                            "engine='feynman-interp'"
-                        )
+                        group -= 1
+                        hoisted = True
                 gate_index.append(index)
                 qubits.append(qubit)
+                group_index.append(group)
                 channels.append(channel)
-        gate_arr = np.asarray(gate_index, dtype=np.int32)
-        group_arr = (
-            self.gate_group[gate_arr]
-            if len(gate_index)
-            else np.empty(0, dtype=np.int32)
-        )
-        # End-of-circuit sites (idle-noise flushes): fired after every group,
-        # encoded with sentinel gate index -1 and group index num_groups so
-        # the engines' group-bucketed event walk picks them up last.
-        final = [
-            (qubit, channel)
-            for qubit, channel in noise.final_error_channels()
-            if not channel.is_trivial
-        ]
-        if final:
-            gate_arr = np.concatenate(
-                [gate_arr, np.full(len(final), -1, dtype=np.int32)]
-            )
-            qubits.extend(qubit for qubit, _ in final)
-            channels.extend(channel for _, channel in final)
-            group_arr = np.concatenate(
-                [group_arr, np.full(len(final), len(self.groups), dtype=np.int32)]
-            )
+        # End-of-circuit sites (idle-noise flushes) fire after every group.
+        for qubit, channel in noise.final_error_channels():
+            if not channel.is_trivial:
+                gate_index.append(-1)
+                qubits.append(qubit)
+                group_index.append(len(self.groups))
+                channels.append(channel)
         return NoiseSiteTable(
-            gate_index=gate_arr,
+            gate_index=np.asarray(gate_index, dtype=np.int32),
             qubit=np.asarray(qubits, dtype=np.int32),
-            group_index=group_arr,
+            group_index=np.asarray(group_index, dtype=np.int32),
             channels=tuple(channels),
+            hoisted=hoisted,
         )
 
     def _later_group_qubits(self) -> dict[int, set[int]]:

@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments table1 [--out results/]
     python -m repro.experiments fig9 --shots 256 --seed 7 [--out results/]
-    python -m repro.experiments fig10 --engine feynman-interp
+    python -m repro.experiments table1 --engine statevector
     python -m repro.experiments all --quick
     python -m repro.experiments scenario --list
     python -m repro.experiments scenario htree-swap-m3 --workers 4 --out out/
@@ -184,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_engines(),
         default=None,
         help="execution engine for every simulation (default: the compiled "
-        "'feynman-tape' engine; 'feynman-batch' is an alias of it)",
+        "'feynman-tape' engine; 'feynman-batch' and 'feynman-interp' are "
+        "aliases of it)",
     )
     parser.add_argument(
         "--router",

@@ -15,9 +15,9 @@ Contents
   Monte-Carlo-noisy path simulation, vectorised across both paths and shots.
 * :mod:`~repro.sim.engine` -- pluggable execution engines behind the
   simulator facade: the compiled gate-tape engine (``"feynman-tape"``, the
-  default; ``"feynman-batch"`` is an alias of it), the interpreted reference
-  (``"feynman-interp"``) and the dense ``"statevector"`` adapter, plus the
-  name registry and session default.
+  default; ``"feynman-batch"`` and ``"feynman-interp"`` are aliases of it)
+  and the dense ``"statevector"`` adapter, plus the name registry and
+  session default.
 * :class:`~repro.sim.statevector.StatevectorSimulator` -- dense reference
   simulator (supports ``H``/``S``/``T``) used for cross-validation in tests.
 * :mod:`~repro.sim.noise` -- Pauli channels, gate-based and qubit-based

@@ -5,31 +5,26 @@ state does this circuit produce?" and "what are the per-shot trajectories
 under Monte-Carlo Pauli noise?" -- so both are captured behind one
 :class:`Engine` interface with a name-based registry:
 
-``"feynman-interp"``
-    The original instruction-at-a-time Feynman-path runner: string dispatch
-    per gate, with each error site applied right after its gate.  Kept as
-    the readable reference implementation and the baseline for
-    ``benchmarks/bench_compiled_engine.py``.
-
 ``"feynman-tape"``
-    The compiled engine (the default).  Executes the fused
+    The Feynman-path engine (the default).  Executes the fused
     :class:`~repro.circuit.ir.GateTape` group by group with integer-opcode
     dispatch, draws every shot's Pauli codes up front from the tape's
     noise-site table, and applies the (sparse) error events as per-shot
-    row-slice updates.  It consumes each shot's stream identically to
-    ``"feynman-interp"`` and reproduces its shot fidelities bit for bit on
-    the QRAM gate set (permutation gates plus exact ``+-1`` / ``+-i``
-    phases); fused ``T``/``TDG`` runs use a phase table whose rounding can
-    differ from sequential multiplication by ~1 ulp.
+    row-slice updates after the group they follow.  Fused ``T``/``TDG``
+    runs use a phase table whose rounding can differ from sequential
+    multiplication by ~1 ulp.
 
-``"feynman-batch"``
-    An alias of ``"feynman-tape"`` (the same registered instance), kept so
+``"feynman-batch"``, ``"feynman-interp"``
+    Aliases of ``"feynman-tape"`` (the same registered instance), kept so
     saved ``--engine`` flags, server requests, cached fingerprints and the
     ``engine`` label stamped in existing records stay valid.
 
 ``"statevector"``
     The dense reference simulator, adapted to the same interface (noiseless
-    only; its output paths are merged per basis state).
+    only; its output paths are merged per basis state).  It is the oracle
+    the Feynman engine is tested against: a noisy shot equals the dense run
+    of the circuit with that shot's sampled Paulis inserted
+    (:func:`~repro.sim.noise.sample_noisy_circuit`).
 
 Engines are stateless; :func:`get_engine` returns shared instances.  The
 module-level default (``"feynman-tape"``) can be swapped globally with
@@ -69,11 +64,11 @@ resolved by :func:`~repro.sim.seeding.as_shot_seeds` and drawn through
 :func:`~repro.sim.seeding.draw_shot_randomness`.  Per shot, measurement
 uniforms are drawn *first* (one per ``MEASURE`` in program order -- see
 :attr:`~repro.circuit.ir.GateTape.measurements`), then the noise-site codes
-in site order.  Both Feynman engines consume streams identically, so their
-trajectories stay bit-identical to each other and across any
-``(workers, shard_size)`` sweep split; circuits without measurements consume
-exactly the pre-measurement streams, preserving every committed artefact bit
-for bit.
+in site order (program order, see
+:class:`~repro.circuit.ir.NoiseSiteTable`).  Trajectories are therefore
+bit-identical across any ``(workers, shard_size)`` sweep split; circuits
+without measurements consume exactly the pre-measurement streams, preserving
+every committed artefact bit for bit.
 
 Bounded path branching (``H``)
 ------------------------------
@@ -86,7 +81,7 @@ typed budget of :func:`repro.circuit.ir.get_max_branches`, enforced before
 any shot executes) and falls again at ``Z``-basis measurements whose
 compile-time collapse plan (:attr:`~repro.circuit.ir.GateTape.collapse_strides`)
 proves the true-marginal projection annihilates exactly one branch of a live
-axis -- the engines then contract that axis by gathering the surviving
+axis -- the engine then contracts that axis by gathering the surviving
 partner of every pair.  Branching consumes **no randomness** of its own, so
 the random-stream contract above is untouched: branch-free circuits execute
 exactly as before, bit for bit.
@@ -123,23 +118,22 @@ from repro.circuit.ir import (
     PHASE_T_POW_CONJ,
     compile_circuit,
 )
-from repro.sim.feynman_kernels import (
-    INV_SQRT2,
-    UnsupportedGateError,
-    apply_hadamard,
-    apply_instruction,
-    apply_masked_pauli,
-)
 from repro.sim.noise import (
     NoiseModel,
     NoiselessModel,
-    PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
 )
 from repro.sim.paths import PathState
 from repro.sim.seeding import ShotSeeds, as_shot_seeds, draw_shot_randomness
+
+#: The amplitude weight of each Hadamard branch.
+INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+class UnsupportedGateError(ValueError):
+    """Raised when a circuit contains a gate outside the path-simulable set."""
 
 
 def _check_state(circuit: QuantumCircuit, state: PathState) -> None:
@@ -179,8 +173,7 @@ def _apply_measure(
     """Measure one qubit across a stacked shot block, in place.
 
     ``column`` is the measured qubit's boolean values as a writable 1-D view
-    of length ``shots * n_paths`` (a ``bits_q`` row for the tape engine, a
-    ``bits`` column for the interpreted one); ``uniforms`` holds one
+    of length ``shots * n_paths`` (a ``bits_q`` row); ``uniforms`` holds one
     pre-drawn variate per shot.  Returns ``(outcomes, keep)``: the sampled
     outcomes (shape ``(shots,)`` int8) and, for ``Z``-basis measurements,
     the ``(shots, n_paths)`` mask of paths that survived the projection
@@ -223,9 +216,7 @@ def _branch_hadamard_group(
 
     Column ``j`` splits into ``2 j`` (bit cleared) and ``2 j + 1`` (bit set,
     sign flipped when the pre-branch bit was 1), each weighted by
-    ``1/sqrt(2)`` -- the same operation order as the row-major
-    :func:`~repro.sim.feynman_kernels.apply_hadamard`, so all engines stay
-    bit-identical.  Returns the new ``(bits_q, amps, n_paths)``.
+    ``1/sqrt(2)``.  Returns the new ``(bits_q, amps, n_paths)``.
     """
     for row in range(qs.shape[0]):
         q = int(qs[row, 0])
@@ -292,15 +283,6 @@ def _frame_active(
     if outcomes is None or not condition_bits:
         return np.zeros(shots, dtype=bool)
     return (outcomes[list(condition_bits)].sum(axis=0) & 1).astype(bool)
-
-
-def _measure_strides(tape: GateTape) -> list[int]:
-    """Collapse strides in measurement order (0 where no collapse is planned)."""
-    return [
-        tape.collapse_strides[index]
-        for index, group in enumerate(tape.groups)
-        if group.opcode == OP_MEASURE
-    ]
 
 
 class Engine:
@@ -373,163 +355,6 @@ class Engine:
 
 
 # ==================================================================== engines
-class InterpretedFeynmanEngine(Engine):
-    """Instruction-at-a-time Feynman-path execution (the original hot path)."""
-
-    name = "feynman-interp"
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> PathState:
-        """Instruction-at-a-time noiseless evolution (measurements sampled from ``rng``)."""
-        tape = _checked_tape(circuit, state)
-        bits = state.bits.copy()
-        amps = state.amplitudes.copy()
-        outcomes: np.ndarray | None = None
-        if tape.num_clbits:
-            outcomes = np.zeros((tape.num_clbits, 1), dtype=np.int8)
-            if rng is None:
-                rng = np.random.default_rng(0)
-        n_paths = state.num_paths
-        measure_strides = _measure_strides(tape)
-        measure_cursor = 0
-        for instr in circuit.instructions:
-            if instr.is_barrier:
-                continue
-            if instr.is_measurement:
-                outcomes[instr.cbit], keep = _apply_measure(
-                    bits[:, instr.qubits[0]], amps, instr.basis, rng.random(1), n_paths
-                )
-                stride = measure_strides[measure_cursor]
-                measure_cursor += 1
-                if stride:
-                    flat = _collapse_flat_indices(keep, 1, n_paths, stride)
-                    bits = bits[flat]
-                    amps = amps[flat]
-                    n_paths //= 2
-            elif instr.is_frame:
-                _apply_frame(
-                    bits[:, instr.qubits[0]],
-                    amps,
-                    instr.frame_pauli,
-                    _frame_active(outcomes, instr.condition_bits, 1),
-                    n_paths,
-                )
-            elif instr.gate == "H":
-                bits, amps = apply_hadamard(bits, amps, instr.qubits[0])
-                n_paths *= 2
-            else:
-                apply_instruction(bits, amps, instr)
-        return PathState(bits=bits, amplitudes=amps)
-
-    def run_noisy_shots_recorded(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: ShotSeeds | np.random.Generator | int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Monte-Carlo shots plus the recorded register (see :class:`Engine`)."""
-        if shots <= 0:
-            raise ValueError("shots must be positive")
-        tape = _checked_tape(circuit, state)
-
-        noiseless = isinstance(noise, NoiselessModel)
-        n_measurements = tape.num_measurements
-        # Pre-draw every shot's randomness in the contract order: measurement
-        # uniforms, then one code per non-trivial site in the order the loop
-        # below applies them (gates in instruction order, end-of-circuit
-        # channels last), so a running cursor stays aligned.  Interp
-        # enumerates its own sites rather than using GateTape.noise_sites so
-        # it keeps supporting off-operand placements the fused tape must
-        # reject; drawing reads only the channel sequence.
-        sites: NoiseSiteTable | None = None
-        if not noiseless:
-            gates = (instr for instr in circuit.instructions if not instr.is_barrier)
-            channels = [
-                channel
-                for index, instr in enumerate(gates)
-                for _, channel in noise.gate_error_channels_indexed(index, instr)
-            ]
-            channels += [channel for _, channel in noise.final_error_channels()]
-            channels = tuple(c for c in channels if not c.is_trivial)
-            placeholder = np.zeros(len(channels), dtype=np.int32)
-            sites = NoiseSiteTable(placeholder, placeholder, placeholder, channels)
-        site_codes, measure_uniforms = draw_shot_randomness(
-            sites, as_shot_seeds(rng), shots, n_measurements
-        )
-        site_cursor = 0
-        measure_cursor = 0
-
-        outcomes: np.ndarray | None = None
-        if tape.num_clbits:
-            outcomes = np.zeros((tape.num_clbits, shots), dtype=np.int8)
-
-        n_paths = state.num_paths
-        bits = np.tile(state.bits, (shots, 1))
-        amps = np.tile(state.amplitudes, shots).astype(complex)
-
-        def apply_site(qubit: int) -> None:
-            nonlocal site_cursor
-            shot_codes = site_codes[site_cursor]
-            site_cursor += 1
-            if not np.any(shot_codes != PAULI_I):
-                return
-            row_codes = np.repeat(shot_codes, n_paths)
-            apply_masked_pauli(bits, amps, qubit, row_codes)
-
-        measure_strides = _measure_strides(tape)
-        gate_index = 0
-        for instr in circuit.instructions:
-            if instr.is_barrier:
-                continue
-            if instr.is_measurement:
-                outcomes[instr.cbit], keep = _apply_measure(
-                    bits[:, instr.qubits[0]],
-                    amps,
-                    instr.basis,
-                    measure_uniforms[measure_cursor],
-                    n_paths,
-                )
-                stride = measure_strides[measure_cursor]
-                measure_cursor += 1
-                if stride:
-                    flat = _collapse_flat_indices(keep, shots, n_paths, stride)
-                    bits = bits[flat]
-                    amps = amps[flat]
-                    n_paths //= 2
-            elif instr.is_frame:
-                _apply_frame(
-                    bits[:, instr.qubits[0]],
-                    amps,
-                    instr.frame_pauli,
-                    _frame_active(outcomes, instr.condition_bits, shots),
-                    n_paths,
-                )
-            elif instr.gate == "H":
-                bits, amps = apply_hadamard(bits, amps, instr.qubits[0])
-                n_paths *= 2
-            else:
-                apply_instruction(bits, amps, instr)
-            if not noiseless:
-                for qubit, channel in noise.gate_error_channels_indexed(
-                    gate_index, instr
-                ):
-                    if not channel.is_trivial:
-                        apply_site(qubit)
-            gate_index += 1
-        if not noiseless:
-            for qubit, channel in noise.final_error_channels():
-                if not channel.is_trivial:
-                    apply_site(qubit)
-        return bits, amps, outcomes
-
-
 class TapeFeynmanEngine(Engine):
     """Compiled Feynman-path execution over the fused gate tape."""
 
@@ -566,9 +391,8 @@ class TapeFeynmanEngine(Engine):
             raise ValueError("shots must be positive")
         tape = _checked_tape(circuit, state)
         # One up-front draw per shot from its own stream: one uniform per
-        # measurement first, then one code per (gate, qubit) error site --
-        # the interpreted engine's consumption order, and what makes sharded
-        # sweeps bit-identical to serial ones.
+        # measurement first, then one code per error site in program order
+        # -- what makes sharded sweeps bit-identical to serial ones.
         sites: NoiseSiteTable | None = (
             None if isinstance(noise, NoiselessModel) else tape.noise_sites(noise)
         )
@@ -591,8 +415,8 @@ def _execute_stacked_shots(
     """Execute the fused tape over a full shot-stacked, qubit-major block.
 
     Column ``s * n_paths + p`` of the block is path ``p`` of shot ``s`` (the
-    transpose of the layout the interpreted engine uses), so every gate
-    update streams over one contiguous row per qubit.  ``codes`` holds the
+    transpose of the returned row-major layout), so every gate update
+    streams over one contiguous row per qubit.  ``codes`` holds the
     pre-drawn Pauli codes (``(n_sites, shots)``), ``measure_uniforms`` the
     pre-drawn measurement uniforms.  Returns ``(bits, amps, outcomes)`` with
     ``bits`` back in row-major layout and ``outcomes`` the recorded
@@ -606,16 +430,21 @@ def _execute_stacked_shots(
 
     if sites is not None:
         site_rows, event_shot = np.nonzero(codes)
+        if sites.hoisted:
+            # Hoisted sites fire one group early, so group indices are not
+            # sorted in site order; a stable sort keeps each shot's events
+            # in site order within a group.
+            order = np.argsort(sites.group_index[site_rows], kind="stable")
+            site_rows, event_shot = site_rows[order], event_shot[order]
         event_code = codes[site_rows, event_shot]
         event_qubit = sites.qubit[site_rows]
-        # Group indices are non-decreasing in site order, so the event
-        # list is already sorted by group; bucket boundaries via
-        # searchsorted.  The extra trailing bucket (group index ==
-        # num_groups) holds the model's end-of-circuit sites, applied
-        # after every group has executed.
+        # Bucket ``b`` holds the events that fire after group ``b - 1``:
+        # bucket 0 the sites hoisted before the first group, the last
+        # bucket (group index == num_groups) the model's end-of-circuit
+        # sites, applied after every group has executed.
         event_group = sites.group_index[site_rows]
         bucket_starts = np.searchsorted(
-            event_group, np.arange(len(tape.groups) + 2)
+            event_group, np.arange(-1, len(tape.groups) + 2)
         )
 
     def apply_bucket(bucket: int) -> None:
@@ -634,6 +463,8 @@ def _execute_stacked_shots(
         outcomes = np.zeros((tape.num_clbits, shots), dtype=np.int8)
     measure_cursor = 0
 
+    if sites is not None:
+        apply_bucket(0)
     for index, group in enumerate(tape.groups):
         if group.opcode == OP_MEASURE:
             cbit, basis = group.params
@@ -666,9 +497,9 @@ def _execute_stacked_shots(
         else:
             _apply_group(bits_q, amps, group.opcode, group.qubits)
         if sites is not None:
-            apply_bucket(index)
+            apply_bucket(index + 1)
     if sites is not None:
-        apply_bucket(len(tape.groups))
+        apply_bucket(len(tape.groups) + 1)
     return np.ascontiguousarray(bits_q.T), amps, outcomes
 
 
@@ -709,7 +540,7 @@ class StatevectorEngine(Engine):
         if not isinstance(noise, NoiselessModel):
             raise NotImplementedError(
                 "the statevector engine does not support Monte-Carlo noise; "
-                "use 'feynman-tape' or 'feynman-interp'"
+                "use 'feynman-tape'"
             )
         output = self.run(circuit, state)
         # The caller slices the result into blocks of the *input* path count,
@@ -747,7 +578,7 @@ class StatevectorEngine(Engine):
         """Unsupported: the dense engine replays one trajectory, not per-shot records."""
         raise NotImplementedError(
             "the statevector engine does not record per-shot measurement "
-            "outcomes; use 'feynman-tape' or 'feynman-interp'"
+            "outcomes; use 'feynman-tape'"
         )
 
 
@@ -917,6 +748,5 @@ def set_default_engine(name: str) -> None:
     _DEFAULT_ENGINE = name
 
 
-register_engine(InterpretedFeynmanEngine())
-register_engine(TapeFeynmanEngine(), aliases=("feynman-batch",))
+register_engine(TapeFeynmanEngine(), aliases=("feynman-batch", "feynman-interp"))
 register_engine(StatevectorEngine())

@@ -20,11 +20,8 @@ Pauli errors are applied as masked column updates.
 engines of :mod:`repro.sim.engine`.  By default it uses the compiled
 ``"feynman-tape"`` engine, which executes the circuit's fused
 :class:`~repro.circuit.ir.GateTape` with integer-opcode dispatch and draws
-every shot's Pauli codes up front; pass ``engine="feynman-interp"`` for
-the original instruction-at-a-time runner (bit-identical trajectories on
-the QRAM gate set -- fused ``T`` runs can differ by ~1 ulp)
-or ``engine="statevector"`` for the dense reference simulator (noiseless
-only).
+every shot's Pauli codes up front; pass ``engine="statevector"`` for the
+dense reference simulator (noiseless only).
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.sim.feynman_kernels import UnsupportedGateError
+from repro.sim.engine import UnsupportedGateError
 from repro.sim.fidelity import shot_fidelities
 from repro.sim.noise import NoiseModel
 from repro.sim.paths import PathState
@@ -104,8 +101,8 @@ class FeynmanPathSimulator:
     ----------
     engine:
         Execution engine: a registered name (``"feynman-tape"``,
-        ``"feynman-interp"``, ``"statevector"``; ``"feynman-batch"`` is an
-        alias of ``"feynman-tape"``), an
+        ``"statevector"``; ``"feynman-batch"`` and ``"feynman-interp"`` are
+        aliases of ``"feynman-tape"``), an
         :class:`~repro.sim.engine.Engine` instance, or ``None`` for the
         session default (see :func:`repro.sim.engine.set_default_engine`).
     """

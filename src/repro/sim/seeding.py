@@ -117,7 +117,7 @@ def draw_shot_randomness(
     """Draw every shot's seeded randomness up front: ``(codes, uniforms)``.
 
     This is the single implementation of the per-shot random-stream contract
-    (every Feynman engine delegates here, after :func:`as_shot_seeds`): each
+    (the Feynman engine delegates here, after :func:`as_shot_seeds`): each
     shot's generator is consumed in the fixed order -- **measurement uniforms
     first** (``n_measurements`` values), **then the noise-site codes** (one
     threshold draw per site of ``sites``, a

@@ -126,7 +126,7 @@ class TestCache:
 
 
 class TestNoiseSites:
-    def test_site_order_matches_interpreted_sampling(self):
+    def test_site_order_is_program_order(self):
         circuit = _example_circuit()
         tape = compile_circuit(circuit)
         noise = GateNoiseModel(PauliChannel.phase_flip(1e-2))
@@ -138,6 +138,7 @@ class TestNoiseSites:
         ]
         assert list(zip(sites.gate_index.tolist(), sites.qubit.tolist())) == expected
         assert np.array_equal(sites.group_index, tape.gate_group[sites.gate_index])
+        assert not sites.hoisted
 
     def test_noiseless_model_has_no_sites(self):
         tape = compile_circuit(_example_circuit())
@@ -152,7 +153,7 @@ class TestNoiseSites:
         # Mixed channels (two_qubit_factor != 1) force several channel runs;
         # the run-wise draw must equal sequential per-site draws from one
         # generator -- the property the tape engine's equivalence with the
-        # interpreted engine rests on.
+        # sample_noisy_circuit oracle rests on.
         tape = compile_circuit(_example_circuit())
         noise = GateNoiseModel(
             PauliChannel.depolarizing(0.3), two_qubit_factor=2.0

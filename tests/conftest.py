@@ -111,6 +111,40 @@ def gate_noise_models() -> st.SearchStrategy:
     return build()
 
 
+def assert_shots_match_oracle(circuit, state, noise, seeds, shots) -> None:
+    """Every shot block of a noisy tape run equals its dense-oracle replay.
+
+    Shot ``s`` of a ``feynman-tape`` run under the ``ShotSeeds`` window
+    ``seeds`` must equal the ``statevector`` run of
+    ``sample_noisy_circuit(circuit, noise, generator)`` -- the circuit with
+    exactly that shot's sampled Paulis inserted in program order -- to
+    ``1e-9`` per basis-state amplitude.  The shot's stream holds its
+    measurement uniforms first, so the sampler starts after them and the
+    dense run reads them from a fresh copy of the stream.  Measured circuits
+    are exact only where every ``X``-basis measurement has a uniform
+    marginal (the teleportation shape; see :mod:`repro.sim.engine`).
+    """
+    from repro.circuit import compile_circuit
+    from repro.sim import PathState, get_engine, sample_noisy_circuit
+
+    bits, amps = get_engine("feynman-tape").run_noisy_shots(
+        circuit, state, noise, shots, rng=seeds
+    )
+    n_paths = bits.shape[0] // shots
+    n_measurements = compile_circuit(circuit).num_measurements
+    dense = get_engine("statevector")
+    for shot in range(shots):
+        block = slice(shot * n_paths, (shot + 1) * n_paths)
+        got = PathState(bits=bits[block], amplitudes=amps[block]).as_dict()
+        generator = seeds.generator(shot)
+        generator.random(n_measurements)
+        noisy = sample_noisy_circuit(circuit, noise, generator)
+        want = dense.run(noisy, state, rng=seeds.generator(shot)).as_dict()
+        assert got.keys() == want.keys()
+        for key, amplitude in want.items():
+            assert abs(got[key] - amplitude) < 1e-9
+
+
 def memory_strategy(max_width: int = 4) -> st.SearchStrategy[ClassicalMemory]:
     """Strategy producing small random classical memories."""
 

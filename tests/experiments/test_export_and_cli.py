@@ -124,13 +124,12 @@ class TestCommandLine:
         assert "Figure 9 reproduction" in capsys.readouterr().out
         assert get_default_engine() == previous
 
-    def test_engine_flag_matches_default_engine_output(self, capsys):
+    def test_legacy_engine_alias_matches_default_engine_output(self, capsys):
         base = ["fig9", "--quick", "--shots", "8", "--seed", "3"]
         assert main(base) == 0
-        compiled = capsys.readouterr().out
+        default = capsys.readouterr().out
         assert main(base + ["--engine", "feynman-interp"]) == 0
-        interpreted = capsys.readouterr().out
-        assert compiled == interpreted
+        assert capsys.readouterr().out == default
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SystemExit):

@@ -3,10 +3,10 @@
 The Feynman engines execute every shot of a batch in one stacked block.
 These tests pin the block's degenerate corners on the default
 ``"feynman-tape"`` engine (noise-free runs under every rng flavour,
-generator determinism, measured circuits against the interpreted
-reference, every-site and phase-only noise against the interpreter), as a
-hypothesis property over arbitrary ``ShotSeeds`` sharding windows, and the
-vectorised per-shot fidelity reduction against its reference loop.
+generator determinism, and measured circuits, every-site and phase-only
+noise against the dense oracle), as a hypothesis property over arbitrary
+``ShotSeeds`` sharding windows, and the vectorised per-shot fidelity
+reduction against its reference loop.
 """
 
 import numpy as np
@@ -30,6 +30,7 @@ from repro.sim.fidelity import (
     shot_fidelities,
 )
 from repro.sim.paths import PathState
+from tests.conftest import assert_shots_match_oracle
 
 DEPOL = GateNoiseModel(PauliChannel.depolarizing(0.05))
 
@@ -69,23 +70,27 @@ class TestEdgeCases:
 
     def test_every_shot_shares_one_pattern(self):
         # p_x = 1: every site errs on every shot, so all 8 shots carry the
-        # same full error pattern; the stacked block must still match the
-        # interpreter's per-shot loop.
-        noise = GateNoiseModel(PauliChannel(p_x=1.0))
-        seeds = ShotSeeds(seed=2)
-        _assert_blocks_equal(
-            _run("feynman-interp", noise, 8, seeds),
-            _run("feynman-tape", noise, 8, seeds),
+        # same full error pattern; every shot must still match its own
+        # dense replay.
+        compiled = _compiled()
+        assert_shots_match_oracle(
+            compiled.circuit,
+            compiled.input_state,
+            GateNoiseModel(PauliChannel(p_x=1.0)),
+            ShotSeeds(seed=2),
+            8,
         )
 
-    def test_pure_z_noise_matches_the_interpreter(self):
+    def test_pure_z_noise_matches_the_dense_oracle(self):
         # Phase-flip noise only ever flips signs: no bit changes, yet the
-        # signs must match the interpreter bit for bit.
-        noise = GateNoiseModel(PauliChannel.phase_flip(0.2))
-        seeds = ShotSeeds(seed=9)
-        _assert_blocks_equal(
-            _run("feynman-interp", noise, 16, seeds),
-            _run("feynman-tape", noise, 16, seeds),
+        # signs must match the oracle.
+        compiled = _compiled()
+        assert_shots_match_oracle(
+            compiled.circuit,
+            compiled.input_state,
+            GateNoiseModel(PauliChannel.phase_flip(0.2)),
+            ShotSeeds(seed=9),
+            16,
         )
 
     def test_generator_mode_is_deterministic_per_seed(self):
@@ -95,7 +100,7 @@ class TestEdgeCases:
         n_paths = _compiled().input_state.num_paths
         assert first[0].shape[0] == 16 * n_paths
 
-    def test_measured_circuit_matches_the_interpreter(self):
+    def test_measured_circuit_matches_the_dense_oracle(self):
         # Measurement uniforms are drawn per shot before the site codes;
         # the stacked block must consume them exactly like the reference.
         circuit = QuantumCircuit(num_qubits=2)
@@ -105,12 +110,7 @@ class TestEdgeCases:
         circuit.cpauli("X", 0, [cbit])
         state = PathState.register_superposition(2, [0], {0: 0.6, 1: 0.8})
         noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
-        seeds = ShotSeeds(seed=4)
-        blocks = [
-            get_engine(name).run_noisy_shots(circuit, state, noise, 12, rng=seeds)
-            for name in ("feynman-interp", "feynman-tape")
-        ]
-        _assert_blocks_equal(blocks[0], blocks[1])
+        assert_shots_match_oracle(circuit, state, noise, ShotSeeds(seed=4), 12)
 
 
 class TestShardingProperty:
@@ -177,13 +177,12 @@ def _reference_shot_fidelities(
 
 
 class TestVectorisedFidelity:
-    @pytest.mark.parametrize("engine_name", ["feynman-interp", "feynman-tape"])
     @pytest.mark.parametrize("reduced", [False, True])
-    def test_matches_reference_loop_bit_for_bit(self, engine_name, reduced):
+    def test_matches_reference_loop_bit_for_bit(self, reduced):
         compiled = _compiled()
         noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
         shots = 24
-        bits, amps = get_engine(engine_name).run_noisy_shots(
+        bits, amps = get_engine("feynman-tape").run_noisy_shots(
             compiled.circuit,
             compiled.input_state,
             noise,

@@ -1,22 +1,21 @@
-"""Engine registry and cross-engine equivalence tests.
+"""Engine registry and tape-versus-oracle equivalence tests.
 
-The compiled tape engine replaces the interpreted Feynman-path runner on the
-reproduction's hot path, so these tests pin down the refactor's contract:
+The compiled tape engine is the one Feynman-path engine; the dense
+statevector engine is its oracle.  These tests pin down:
 
-* noiseless outputs agree exactly across the interpreted engine, the tape
-  engine and the dense statevector engine for every registered QRAM
+* the registry, including the legacy names that alias the tape engine;
+* noiseless outputs agree with the dense engine for every registered QRAM
   architecture;
-* under a fixed seed the interpreted and tape engines consume the random
-  stream identically and therefore produce **bit-identical** Monte-Carlo
-  shot fidelities;
+* every noisy shot equals the dense run of the circuit with that shot's
+  sampled Paulis inserted (``sample_noisy_circuit``);
 * fused execution is equivalent to sequential execution on circuits designed
   to stress the fusion rules (overlapping runs, diagonal runs, identity
-  gates carrying noise sites, variable-arity MCX).
+  gates carrying noise sites, variable-arity MCX, off-operand noise sites
+  inside a fused run).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from repro.cache.fingerprint import run_fingerprint
 from repro.circuit import QuantumCircuit
@@ -29,15 +28,17 @@ from repro.sim import (
     FeynmanPathSimulator,
     GateNoiseModel,
     NoiselessModel,
+    NoiseModel,
     PathState,
     PauliChannel,
+    ShotSeeds,
     UnsupportedGateError,
     available_engines,
     get_default_engine,
     get_engine,
     set_default_engine,
 )
-from tests.conftest import random_reversible_circuits
+from tests.conftest import assert_shots_match_oracle
 
 ARCHITECTURE_NAMES = ["virtual", "sqc_bb", "sqc_ss", "fanout", "sqc"]
 
@@ -70,21 +71,18 @@ class TestRegistry:
             "statevector",
         } <= set(available_engines())
 
-    def test_feynman_batch_is_an_alias_of_the_tape_engine(self):
-        assert get_engine("feynman-batch") is get_engine("feynman-tape")
+    @pytest.mark.parametrize("alias", ["feynman-batch", "feynman-interp"])
+    def test_legacy_names_alias_the_tape_engine(self, alias):
+        assert get_engine(alias) is get_engine("feynman-tape")
         # The requested name, not the instance's, labels records and keys
-        # the cache, so artefacts stamped "feynman-batch" stay valid.
-        records = run_scenario(
-            "ideal-m3", shots=4, seed=7, workers=1, engine="feynman-batch"
-        )
-        assert {record["engine"] for record in records} == {"feynman-batch"}
+        # the cache, so artefacts stamped with a legacy name stay valid.
+        records = run_scenario("ideal-m3", shots=4, seed=7, workers=1, engine=alias)
+        assert {record["engine"] for record in records} == {alias}
         spec, _, _, engine_name, fingerprint = resolve_run(
-            "ideal-m3", shots=4, seed=7, engine="feynman-batch"
+            "ideal-m3", shots=4, seed=7, engine=alias
         )
-        assert engine_name == "feynman-batch"
-        assert fingerprint == run_fingerprint(
-            spec, seed=7, shots=4, engine="feynman-batch"
-        )
+        assert engine_name == alias
+        assert fingerprint == run_fingerprint(spec, seed=7, shots=4, engine=alias)
 
     def test_get_engine_by_name_and_instance(self):
         engine = get_engine("feynman-tape")
@@ -98,8 +96,8 @@ class TestRegistry:
     def test_default_engine_roundtrip(self):
         previous = get_default_engine()
         try:
-            set_default_engine("feynman-interp")
-            assert get_engine().name == "feynman-interp"
+            set_default_engine("statevector")
+            assert get_engine().name == "statevector"
         finally:
             set_default_engine(previous)
         assert get_default_engine() == previous
@@ -118,28 +116,17 @@ class TestArchitectureEquivalence:
         architecture = make_architecture(architecture_name, memory, qram_width=2)
         circuit = architecture.build_circuit()
         state = architecture.input_state()
-        interp = get_engine("feynman-interp").run(circuit, state)
         tape = get_engine("feynman-tape").run(circuit, state)
         dense = get_engine("statevector").run(circuit, state)
-        # Interpreted vs tape keep the same path layout: exact equality.
-        assert np.array_equal(interp.bits, tape.bits)
-        assert np.array_equal(interp.amplitudes, tape.amplitudes)
         # The dense engine merges paths per basis state: compare as dicts.
-        assert _amplitudes_match(interp, dense)
+        assert _amplitudes_match(tape, dense)
 
     @pytest.mark.parametrize("noise", NOISE_MODELS)
-    def test_noisy_shot_fidelities_bit_identical(
-        self, architecture_name, memory, noise
-    ):
+    def test_noisy_shots_match_dense_oracle(self, architecture_name, memory, noise):
         architecture = make_architecture(architecture_name, memory, qram_width=2)
-        results = {}
-        for engine in ("feynman-interp", "feynman-tape"):
-            results[engine] = architecture.run_query(
-                noise, shots=32, rng=np.random.default_rng(11), engine=engine
-            )
-        assert np.array_equal(
-            results["feynman-interp"].fidelities,
-            results["feynman-tape"].fidelities,
+        compiled = architecture.compiled_query()
+        assert_shots_match_oracle(
+            compiled.circuit, compiled.input_state, noise, ShotSeeds(seed=11), 8
         )
 
     def test_statevector_engine_noiseless_query(self, architecture_name, memory):
@@ -152,10 +139,9 @@ class TestFusionStress:
     """Crafted circuits exercising the tape compiler's fusion rules."""
 
     def _compare(self, circuit: QuantumCircuit, state: PathState) -> None:
-        interp = get_engine("feynman-interp").run(circuit, state)
         tape = get_engine("feynman-tape").run(circuit, state)
-        assert np.array_equal(interp.bits, tape.bits)
-        assert np.allclose(interp.amplitudes, tape.amplitudes, atol=1e-12)
+        dense = get_engine("statevector").run(circuit, state)
+        assert _amplitudes_match(tape, dense)
 
     def test_overlapping_cx_chain(self):
         # Sequential CX chain sharing qubits: must not fuse into one batch.
@@ -227,21 +213,12 @@ class TestFusionStress:
         state = PathState.from_basis_assignments([({}, 1.0)], 2)
         noise = GateNoiseModel(PauliChannel.bit_flip(0.5))
         for seed in range(5):
-            blocks = [
-                get_engine(name).run_noisy_shots(
-                    circuit, state, noise, 16, rng=np.random.default_rng(seed)
-                )
-                for name in ("feynman-interp", "feynman-tape")
-            ]
-            assert np.array_equal(blocks[0][0], blocks[1][0])
-            assert np.array_equal(blocks[0][1], blocks[1][1])
+            assert_shots_match_oracle(circuit, state, noise, ShotSeeds(seed=seed), 16)
 
-    def test_offsite_noise_inside_fused_run_rejected(self):
+    def test_offsite_noise_inside_fused_run_fires_before_the_later_gate(self):
         # A crosstalk-style model placing an error on a qubit the fused run
-        # touches later cannot be ordered by the compiled engine: it must
-        # refuse loudly (the interpreted engine still handles it).
-        from repro.sim import NoiseModel
-
+        # touches later: the site is hoisted before the group, so the error
+        # still lands before the gate that reads it.
         class CrosstalkNoise(NoiseModel):
             def gate_error_channels(self, instr):
                 if instr.gate == "CX" and instr.qubits == (0, 1):
@@ -252,22 +229,17 @@ class TestFusionStress:
         circuit.cx(0, 1)
         circuit.cx(2, 3)  # fuses with the first CX and touches qubit 2
         state = PathState.from_basis_assignments([({}, 1.0)], 4)
-        interp_bits, _ = get_engine("feynman-interp").run_noisy_shots(
+        sites = ir.compile_circuit(circuit).noise_sites(CrosstalkNoise())
+        assert sites.hoisted
+        assert sites.group_index.tolist() == [-1]
+        bits, _ = get_engine("feynman-tape").run_noisy_shots(
             circuit, state, CrosstalkNoise(), 2, rng=np.random.default_rng(0)
         )
-        assert np.array_equal(
-            interp_bits.astype(int), [[0, 0, 1, 1], [0, 0, 1, 1]]
-        )
-        with pytest.raises(ValueError, match="feynman-interp"):
-            get_engine("feynman-tape").run_noisy_shots(
-                circuit, state, CrosstalkNoise(), 2, rng=np.random.default_rng(0)
-            )
+        assert np.array_equal(bits.astype(int), [[0, 0, 1, 1], [0, 0, 1, 1]])
 
     def test_offsite_noise_outside_fused_run_still_agrees(self):
         # Off-operand sites are fine when no later gate in the group touches
         # the qubit: the deferred application commutes.
-        from repro.sim import NoiseModel
-
         class SpectatorNoise(NoiseModel):
             def gate_error_channels(self, instr):
                 if instr.gate == "CX" and instr.qubits == (0, 1):
@@ -278,13 +250,11 @@ class TestFusionStress:
         circuit.cx(0, 1)
         circuit.cx(1, 2)  # overlaps: new group, so qubit 3 is never mid-run
         state = PathState.from_basis_assignments([({}, 1.0)], 4)
-        blocks = [
-            get_engine(name).run_noisy_shots(
-                circuit, state, SpectatorNoise(), 2, rng=np.random.default_rng(0)
-            )
-            for name in ("feynman-interp", "feynman-tape")
-        ]
-        assert np.array_equal(blocks[0][0], blocks[1][0])
+        assert not ir.compile_circuit(circuit).noise_sites(SpectatorNoise()).hoisted
+        bits, _ = get_engine("feynman-tape").run_noisy_shots(
+            circuit, state, SpectatorNoise(), 2, rng=np.random.default_rng(0)
+        )
+        assert np.array_equal(bits.astype(int), [[0, 0, 0, 1], [0, 0, 0, 1]])
 
     def test_barriers_are_dropped(self):
         circuit = QuantumCircuit(3)
@@ -295,59 +265,25 @@ class TestFusionStress:
         self._compare(circuit, state)
 
 
-class TestPropertyEquivalence:
-    @settings(max_examples=60, deadline=None)
-    @given(circuit=random_reversible_circuits())
-    def test_random_circuits_noiseless(self, circuit):
-        state = PathState.register_superposition(
-            circuit.num_qubits, register=list(range(min(3, circuit.num_qubits)))
-        )
-        interp = get_engine("feynman-interp").run(circuit, state)
-        tape = get_engine("feynman-tape").run(circuit, state)
-        assert np.array_equal(interp.bits, tape.bits)
-        assert np.array_equal(interp.amplitudes, tape.amplitudes)
-
-    @settings(max_examples=25, deadline=None)
-    @given(circuit=random_reversible_circuits(max_qubits=5, max_gates=15))
-    def test_random_circuits_noisy_trajectories(self, circuit):
-        state = PathState.register_superposition(
-            circuit.num_qubits, register=[0, 1]
-        )
-        noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
-        blocks = [
-            get_engine(name).run_noisy_shots(
-                circuit, state, noise, 8, rng=np.random.default_rng(99)
-            )
-            for name in ("feynman-interp", "feynman-tape")
-        ]
-        assert np.array_equal(blocks[0][0], blocks[1][0])
-        assert np.array_equal(blocks[0][1], blocks[1][1])
-
-
 class TestEngineErrors:
     def test_feynman_engines_execute_branching_gates(self):
-        # H used to be rejected outright; it now branches the path set, so
-        # every Feynman engine must produce the uniform |+> superposition.
+        # H branches the path set: the output is the uniform |+> superposition.
         circuit = QuantumCircuit(1)
         circuit.h(0)
         state = PathState.from_basis_assignments([({}, 1.0)], 1)
-        for name in ("feynman-interp", "feynman-tape"):
-            out = get_engine(name).run(circuit, state)
-            assert out.num_paths == 2
-            assert np.allclose(np.abs(out.amplitudes), 1 / np.sqrt(2))
+        out = get_engine("feynman-tape").run(circuit, state)
+        assert out.num_paths == 2
+        assert np.allclose(np.abs(out.amplitudes), 1 / np.sqrt(2))
 
     def test_feynman_engines_reject_over_budget_branching(self):
         circuit = QuantumCircuit(ir.get_max_branches() + 1)
         for qubit in range(circuit.num_qubits):
             circuit.h(qubit)
         state = PathState.from_basis_assignments([({}, 1.0)], circuit.num_qubits)
-        for name in ("feynman-interp", "feynman-tape"):
-            with pytest.raises(ir.BranchBudgetError, match="branch budget"):
-                get_engine(name).run(circuit, state)
+        with pytest.raises(ir.BranchBudgetError, match="branch budget"):
+            get_engine("feynman-tape").run(circuit, state)
 
-    @pytest.mark.parametrize(
-        "name", ["feynman-interp", "feynman-tape", "statevector"]
-    )
+    @pytest.mark.parametrize("name", ["feynman-tape", "statevector"])
     def test_non_positive_shot_counts_rejected(self, name):
         circuit = QuantumCircuit(1)
         circuit.x(0)
@@ -395,7 +331,7 @@ class TestEngineErrors:
         circuit = QuantumCircuit(2)
         circuit.x(0)
         state = PathState.from_basis_assignments([({}, 1.0)], 3)
-        for name in ("feynman-interp", "feynman-tape", "statevector"):
+        for name in ("feynman-tape", "statevector"):
             with pytest.raises(ValueError, match="qubits"):
                 get_engine(name).run(circuit, state)
 
@@ -406,14 +342,14 @@ class TestEngineErrors:
         state = PathState.from_basis_assignments([({}, 1.0)], 2)
         before_bits = state.bits.copy()
         before_amps = state.amplitudes.copy()
-        for name in ("feynman-interp", "feynman-tape", "statevector"):
+        for name in ("feynman-tape", "statevector"):
             get_engine(name).run(circuit, state)
             assert np.array_equal(state.bits, before_bits)
             assert np.array_equal(state.amplitudes, before_amps)
 
 
 class TestMeasuredNoiselessRuns:
-    """``run`` samples mid-circuit outcomes identically on both Feynman engines."""
+    """``run`` samples mid-circuit outcomes from a fixed stream by default."""
 
     @staticmethod
     def _circuit() -> QuantumCircuit:
@@ -425,21 +361,14 @@ class TestMeasuredNoiselessRuns:
         circuit.h(1)
         return circuit
 
-    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
-    def test_interp_and_tape_agree_bit_for_bit(self, seed):
-        # rng=None must fall back to the same fixed stream on both engines.
+    def test_default_stream_is_default_rng_zero(self):
         circuit = self._circuit()
         state = PathState.register_superposition(3, [0, 1])
-        outputs = [
-            get_engine(name).run(
-                circuit,
-                state,
-                rng=None if seed is None else np.random.default_rng(seed),
-            )
-            for name in ("feynman-interp", "feynman-tape")
-        ]
-        assert np.array_equal(outputs[0].bits, outputs[1].bits)
-        assert np.array_equal(outputs[0].amplitudes, outputs[1].amplitudes)
+        engine = get_engine("feynman-tape")
+        implicit = engine.run(circuit, state)
+        explicit = engine.run(circuit, state, rng=np.random.default_rng(0))
+        assert np.array_equal(implicit.bits, explicit.bits)
+        assert np.array_equal(implicit.amplitudes, explicit.amplitudes)
 
 
 class TestFacade:
@@ -455,7 +384,7 @@ class TestFacade:
         simulator = FeynmanPathSimulator()
         previous = get_default_engine()
         try:
-            set_default_engine("feynman-interp")
-            assert simulator._resolve_engine().name == "feynman-interp"
+            set_default_engine("statevector")
+            assert simulator._resolve_engine().name == "statevector"
         finally:
             set_default_engine(previous)

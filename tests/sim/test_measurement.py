@@ -7,9 +7,9 @@ Pins the tentpole contracts of the executed-teleportation PR:
 * measured qubits can be frame-reset and reused;
 * Pauli-frame corrections commute through ``CCX``/``MCX`` with the textbook
   compensation gates;
-* the two Feynman engines stay bit-identical on measured circuits in both
-  seeded and batch-generator modes, and any sharding of the shot range
-  reproduces the unsharded trajectories.
+* every noisy shot of a measured teleportation workload equals its dense
+  replay, and any sharding of the shot range reproduces the unsharded
+  trajectories.
 """
 
 import numpy as np
@@ -23,9 +23,10 @@ from repro.sim.fidelity import shot_fidelities, state_fidelity
 from repro.sim.noise import GateNoiseModel, NoiselessModel, PauliChannel
 from repro.sim.paths import PathState
 from repro.sim.seeding import ShotSeeds
+from tests.conftest import assert_shots_match_oracle
 
-ENGINES = ("feynman-tape", "feynman-interp", "statevector")
-FEYNMAN_ENGINES = ("feynman-tape", "feynman-interp")
+ENGINES = ("feynman-tape", "statevector")
+FEYNMAN_ENGINES = ("feynman-tape",)
 
 
 def one_bit_teleport(source: int, target: int, circuit: QuantumCircuit) -> None:
@@ -307,23 +308,11 @@ class TestEngineBitIdentityWithMeasurements:
         circuit.swap(1, 2)
         return circuit, PathState.register_superposition(4, [0, 1])
 
-    @pytest.mark.parametrize("rng_mode", ["seeded", "batch"])
-    def test_tape_and_interp_identical(self, rng_mode):
+    def test_noisy_shots_match_dense_oracle(self):
         circuit, state = self._teleport_workload()
         noise = GateNoiseModel(PauliChannel.depolarizing(0.04))
-        shots = 50
-        if rng_mode == "seeded":
-            rng_a = rng_b = ShotSeeds(seed=21, point_index=1)
-        else:
-            rng_a, rng_b = (np.random.default_rng(17) for _ in range(2))
-        bits_a, amps_a = get_engine("feynman-tape").run_noisy_shots(
-            circuit, state, noise, shots, rng=rng_a
-        )
-        bits_b, amps_b = get_engine("feynman-interp").run_noisy_shots(
-            circuit, state, noise, shots, rng=rng_b
-        )
-        assert np.array_equal(bits_a, bits_b)
-        assert np.array_equal(amps_a, amps_b)
+        seeds = ShotSeeds(seed=21, point_index=1)
+        assert_shots_match_oracle(circuit, state, noise, seeds, 50)
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -25,7 +25,7 @@ from repro.sim.engine import get_engine
 from repro.sim.feynman import QueryResult
 from repro.sim.fidelity import shot_fidelities
 
-FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape", "feynman-batch")
+FEYNMAN_ENGINES = ("feynman-tape", "feynman-batch")
 
 
 def measured_circuit() -> QuantumCircuit:

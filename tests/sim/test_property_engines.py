@@ -1,12 +1,15 @@
-"""Property-based cross-engine equivalence over random circuits and noise.
+"""Property-based checks of the Feynman engine against the dense oracle.
 
-The compiled ``feynman-tape`` engine promises *bit-identical* noisy
-trajectories to the interpreted reference under a fixed per-shot seed, and
-both promise exact noiseless agreement with the dense statevector
-simulator.  These properties are the foundation the scenario sweeps stand
-on, so they are exercised here with hypothesis over random QRAM-gate-set
-circuits and random :class:`GateNoiseModel` parameters (the fixed
-``repro-ci`` profile in ``tests/conftest.py`` keeps CI deterministic).
+Under a ``ShotSeeds`` window, shot ``s`` of a noisy ``feynman-tape`` run must
+equal the dense ``statevector`` run of
+``sample_noisy_circuit(circuit, noise, seeds.generator(s))``: the sampled
+circuit inserts exactly the Paulis the engine draws for that shot, in program
+order, so agreement checks both the draw and the fused execution -- including
+off-operand (crosstalk) sites that must fire inside a fused run.  Noiseless
+runs must reproduce the dense amplitudes exactly.  These properties are the
+foundation the scenario sweeps stand on, so they are exercised here with
+hypothesis over random circuits and noise models (the fixed ``repro-ci``
+profile in ``tests/conftest.py`` keeps CI deterministic).
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuit import QuantumCircuit
 from repro.sim import (
     FeynmanPathSimulator,
     PathState,
@@ -21,8 +25,12 @@ from repro.sim import (
     StatevectorSimulator,
     with_idle_noise,
 )
-from repro.sim.noise import PauliChannel
-from tests.conftest import gate_noise_models, random_reversible_circuits
+from repro.sim.noise import PauliChannel, ScheduledNoiseModel
+from tests.conftest import (
+    assert_shots_match_oracle,
+    gate_noise_models,
+    random_reversible_circuits,
+)
 
 
 def _superposition_input(circuit) -> PathState:
@@ -30,26 +38,58 @@ def _superposition_input(circuit) -> PathState:
     return PathState.register_superposition(circuit.num_qubits, register)
 
 
-class TestSeededTrajectoryBitIdentity:
+@st.composite
+def _crosstalk_cases(draw):
+    """A circuit of fused disjoint runs plus a crosstalk noise model.
+
+    Each run is one gate type laid over disjoint operands, so the tape fuses
+    it into one group.  Every gate gets extra sites on *any* qubit, so some
+    land on a qubit a later gate of the same run touches -- the sites the
+    tape must hoist before the group.  Runs of ``H`` make some of those
+    groups branch the path set.
+    """
+    num_qubits = draw(st.integers(4, 6))
+    circuit = QuantumCircuit(num_qubits)
+    arities = {"X": 1, "Z": 1, "H": 1, "CX": 2, "SWAP": 2, "CCX": 3}
+    h_runs = 0
+    for _ in range(draw(st.integers(1, 4))):
+        gate = draw(st.sampled_from(sorted(arities)))
+        if gate == "H":
+            if h_runs == 2:
+                continue
+            h_runs += 1
+        order = draw(st.permutations(range(num_qubits)))
+        arity = arities[gate]
+        most = num_qubits // arity
+        count = draw(st.integers(min(2, most), most))
+        for start in range(0, count * arity, arity):
+            circuit.add(gate, *order[start : start + arity])
+    pool = st.sampled_from(
+        [PauliChannel(), PauliChannel(p_x=0.3), PauliChannel(p_y=0.2, p_z=0.2)]
+    )
+    qubits = st.integers(0, num_qubits - 1)
+    gate_sites = tuple(
+        tuple(draw(st.lists(st.tuples(qubits, pool), min_size=1, max_size=2)))
+        for _ in circuit.instructions
+    )
+    noise = ScheduledNoiseModel(
+        base=draw(gate_noise_models()), gate_sites=gate_sites
+    )
+    return circuit, noise
+
+
+class TestSeededShotsMatchDenseOracle:
     @settings(max_examples=40, deadline=None)
     @given(
         random_reversible_circuits(max_qubits=6, max_gates=18),
         gate_noise_models(),
         st.integers(0, 2**31 - 1),
     )
-    def test_tape_and_interp_agree_bit_for_bit(self, circuit, noise, seed):
-        """Same ShotSeeds window => identical bits and amplitudes."""
-        state = _superposition_input(circuit)
-        seeds = ShotSeeds(seed=seed)
-        shots = 8
-        bits_tape, amps_tape = FeynmanPathSimulator(
-            engine="feynman-tape"
-        ).run_noisy_shots(circuit, state, noise, shots, rng=seeds)
-        bits_interp, amps_interp = FeynmanPathSimulator(
-            engine="feynman-interp"
-        ).run_noisy_shots(circuit, state, noise, shots, rng=seeds)
-        assert np.array_equal(bits_tape, bits_interp)
-        assert np.array_equal(amps_tape, amps_interp)
+    def test_gate_noise_models(self, circuit, noise, seed):
+        """Shot ``s`` equals the dense run of its sampled circuit."""
+        assert_shots_match_oracle(
+            circuit, _superposition_input(circuit), noise, ShotSeeds(seed=seed), 8
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -57,20 +97,21 @@ class TestSeededTrajectoryBitIdentity:
         gate_noise_models(),
         st.integers(0, 2**31 - 1),
     )
-    def test_idle_extended_models_stay_bit_identical(self, circuit, noise, seed):
-        """The schedule-aware idle path preserves the cross-engine contract."""
-        state = _superposition_input(circuit)
+    def test_idle_extended_models(self, circuit, noise, seed):
+        """The schedule-aware idle sites (end-of-circuit ones included) too."""
         model = with_idle_noise(noise, circuit, PauliChannel.phase_flip(0.1))
-        seeds = ShotSeeds(seed=seed)
-        shots = 6
-        bits_tape, amps_tape = FeynmanPathSimulator(
-            engine="feynman-tape"
-        ).run_noisy_shots(circuit, state, model, shots, rng=seeds)
-        bits_interp, amps_interp = FeynmanPathSimulator(
-            engine="feynman-interp"
-        ).run_noisy_shots(circuit, state, model, shots, rng=seeds)
-        assert np.array_equal(bits_tape, bits_interp)
-        assert np.array_equal(amps_tape, amps_interp)
+        assert_shots_match_oracle(
+            circuit, _superposition_input(circuit), model, ShotSeeds(seed=seed), 6
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(_crosstalk_cases(), st.integers(0, 2**31 - 1))
+    def test_crosstalk_sites_inside_fused_runs(self, case, seed):
+        """Off-operand sites fire in program order, hoisted or not."""
+        circuit, noise = case
+        assert_shots_match_oracle(
+            circuit, _superposition_input(circuit), noise, ShotSeeds(seed=seed), 6
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -105,6 +146,5 @@ class TestNoiselessStatevectorAgreement:
         """Noiseless Feynman runs reproduce statevector amplitudes exactly."""
         state = _superposition_input(circuit)
         dense = StatevectorSimulator().run(circuit, state)
-        for engine in ("feynman-tape", "feynman-interp"):
-            output = FeynmanPathSimulator(engine=engine).run(circuit, state)
-            assert np.allclose(output.to_statevector(), dense, atol=1e-9)
+        output = FeynmanPathSimulator(engine="feynman-tape").run(circuit, state)
+        assert np.allclose(output.to_statevector(), dense, atol=1e-9)

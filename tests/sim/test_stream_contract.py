@@ -85,7 +85,7 @@ class TestAsShotSeeds:
 
 class TestEveryRngFlavourAccepted:
     @pytest.mark.parametrize("rng", _accepted_rngs())
-    @pytest.mark.parametrize("engine", ["feynman-tape", "feynman-interp"])
+    @pytest.mark.parametrize("engine", ["feynman-tape"])
     def test_run_noisy_shots(self, qram, rng, engine):
         bits, amps = _run_noisy(qram, 6, rng, engine)
         assert bits.shape[0] == amps.shape[0] == 6 * 8
@@ -120,7 +120,7 @@ class TestIntSeedIsAShotSeedsWindow:
         by_seeds = qram.run_query(NOISE, shots=24, rng=ShotSeeds(seed=7)).fidelities
         assert np.array_equal(by_int, by_seeds)
 
-    @pytest.mark.parametrize("engine", ["feynman-tape", "feynman-interp"])
+    @pytest.mark.parametrize("engine", ["feynman-tape"])
     def test_run_noisy_shots(self, qram, engine):
         by_int = _run_noisy(qram, 24, 7, engine)
         by_numpy_int = _run_noisy(qram, 24, np.int64(7), engine)
@@ -163,10 +163,10 @@ class TestGeneratorStreams:
 def _layered_noise(draw, circuit):
     """A gate-noise model plus extra per-gate and final sites, some trivial.
 
-    Extra sites sit on one of the gate's own operands (the fused tape
-    requires that) and draw their channel from a pool holding a trivial
-    channel, so both the engines' site table and ``sample_noisy_circuit``
-    must skip it without consuming a draw.
+    Extra sites sit on one of the gate's own operands and draw their
+    channel from a pool holding a trivial channel, so both the engine's site
+    table and ``sample_noisy_circuit`` must skip it without consuming a
+    draw.
     """
     base = draw(gate_noise_models())
     pool = st.sampled_from(

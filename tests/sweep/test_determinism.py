@@ -24,15 +24,15 @@ from repro.sim import (
     get_engine,
 )
 from repro.sweep import ShotShard, SweepRunner
+from tests.conftest import assert_shots_match_oracle
 
 SHOTS = 12
 SEED = 21
 
 #: Engines and the noise each supports (the dense engine is noiseless-only).
+#: Aliases name the same instance, so each engine appears once.
 ENGINE_NOISE = {
-    "feynman-interp": GateNoiseModel(PauliChannel.depolarizing(0.02)),
     "feynman-tape": GateNoiseModel(PauliChannel.depolarizing(0.02)),
-    "feynman-batch": GateNoiseModel(PauliChannel.depolarizing(0.02)),
     "statevector": NoiselessModel(),
 }
 
@@ -63,7 +63,8 @@ class TestEveryEngineIsShardInvariant:
     def test_registry_is_covered(self):
         # If a new engine is registered, it must be added to this property
         # test (and honour the ShotSeeds contract).
-        assert set(ENGINE_NOISE) == set(available_engines())
+        registered = {id(get_engine(name)) for name in available_engines()}
+        assert {id(get_engine(name)) for name in ENGINE_NOISE} == registered
 
     @pytest.mark.parametrize("engine_name", sorted(ENGINE_NOISE))
     @pytest.mark.parametrize("shard_size", [1, 5, SHOTS, 64])
@@ -87,20 +88,18 @@ class TestEveryEngineIsShardInvariant:
         )
 
 
-class TestEngineCrossAgreementUnderShotSeeds:
-    def test_tape_and_interp_draw_identical_trajectories(self):
+class TestPointWindowsMatchDenseOracle:
+    def test_tape_shots_match_dense_oracle(self):
         architecture = _architecture()
         compiled = architecture.compiled_query()
         noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
-        seeds = ShotSeeds(seed=3, point_index=1)
-        tape_bits, tape_amps = get_engine("feynman-tape").run_noisy_shots(
-            compiled.circuit, compiled.input_state, noise, 8, rng=seeds
+        assert_shots_match_oracle(
+            compiled.circuit,
+            compiled.input_state,
+            noise,
+            ShotSeeds(seed=3, point_index=1),
+            8,
         )
-        interp_bits, interp_amps = get_engine("feynman-interp").run_noisy_shots(
-            compiled.circuit, compiled.input_state, noise, 8, rng=seeds
-        )
-        assert np.array_equal(tape_bits, interp_bits)
-        assert np.array_equal(tape_amps, interp_amps)
 
 
 class TestHighLevelHelpersAreWorkerInvariant:
