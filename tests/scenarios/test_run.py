@@ -101,6 +101,20 @@ class TestDeterminism:
         )
         assert serial == sharded
 
+    def test_engines_agree_bit_for_bit(self):
+        # A saved legacy ``--engine`` name reproduces the tape engine's
+        # records exactly; only the engine label differs.
+        tape = run_scenario(
+            "ideal-m3", shots=32, seed=SEED, workers=1, engine="feynman-tape"
+        )
+        legacy = run_scenario(
+            "ideal-m3", shots=32, seed=SEED, workers=1, engine="feynman-interp"
+        )
+        assert len(tape) == len(legacy)
+        for a, b in zip(tape, legacy):
+            assert b["engine"] == "feynman-interp"
+            assert {**dict(b), "engine": a["engine"]} == dict(a)
+
 
 class TestPhysics:
     def test_mapped_scenarios_strictly_below_unmapped(self, ablation_records):

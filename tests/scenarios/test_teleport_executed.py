@@ -71,7 +71,7 @@ class TestCompile:
 
 
 class TestZeroNoiseExactness:
-    @pytest.mark.parametrize("engine", ["feynman-tape"])
+    @pytest.mark.parametrize("engine", ["feynman-tape", "feynman-interp"])
     def test_every_shot_fidelity_is_exactly_one(self, executed, engine):
         result = FeynmanPathSimulator(engine=engine).query_fidelities(
             executed.circuit,

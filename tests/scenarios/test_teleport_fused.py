@@ -102,7 +102,9 @@ class TestCompile:
 
 
 class TestZeroNoiseExactness:
-    @pytest.mark.parametrize("engine", ["feynman-tape", "feynman-batch"])
+    @pytest.mark.parametrize(
+        "engine", ["feynman-tape", "feynman-interp", "feynman-batch"]
+    )
     def test_every_shot_fidelity_is_exactly_one(self, fused, engine):
         result = FeynmanPathSimulator(engine=engine).query_fidelities(
             fused.circuit,

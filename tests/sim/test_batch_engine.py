@@ -177,11 +177,11 @@ def _reference_shot_fidelities(
 
 
 class TestVectorisedFidelity:
+    @pytest.mark.parametrize("shots", [1, 24])
     @pytest.mark.parametrize("reduced", [False, True])
-    def test_matches_reference_loop_bit_for_bit(self, reduced):
+    def test_matches_reference_loop_bit_for_bit(self, reduced, shots):
         compiled = _compiled()
         noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
-        shots = 24
         bits, amps = get_engine("feynman-tape").run_noisy_shots(
             compiled.circuit,
             compiled.input_state,

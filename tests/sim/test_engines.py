@@ -16,6 +16,7 @@ statevector engine is its oracle.  These tests pin down:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.cache.fingerprint import run_fingerprint
 from repro.circuit import QuantumCircuit
@@ -38,7 +39,7 @@ from repro.sim import (
     get_engine,
     set_default_engine,
 )
-from tests.conftest import assert_shots_match_oracle
+from tests.conftest import assert_shots_match_oracle, random_reversible_circuits
 
 ARCHITECTURE_NAMES = ["virtual", "sqc_bb", "sqc_ss", "fanout", "sqc"]
 
@@ -265,6 +266,27 @@ class TestFusionStress:
         self._compare(circuit, state)
 
 
+class TestPropertyEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(circuit=random_reversible_circuits())
+    def test_random_circuits_noiseless(self, circuit):
+        state = PathState.register_superposition(
+            circuit.num_qubits, register=list(range(min(3, circuit.num_qubits)))
+        )
+        tape = get_engine("feynman-tape").run(circuit, state)
+        dense = get_engine("statevector").run(circuit, state)
+        assert _amplitudes_match(tape, dense)
+
+    @settings(max_examples=25, deadline=None)
+    @given(circuit=random_reversible_circuits(max_qubits=5, max_gates=15))
+    def test_random_circuits_noisy_trajectories(self, circuit):
+        state = PathState.register_superposition(
+            circuit.num_qubits, register=[0, 1]
+        )
+        noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
+        assert_shots_match_oracle(circuit, state, noise, ShotSeeds(seed=99), 8)
+
+
 class TestEngineErrors:
     def test_feynman_engines_execute_branching_gates(self):
         # H branches the path set: the output is the uniform |+> superposition.
@@ -283,7 +305,9 @@ class TestEngineErrors:
         with pytest.raises(ir.BranchBudgetError, match="branch budget"):
             get_engine("feynman-tape").run(circuit, state)
 
-    @pytest.mark.parametrize("name", ["feynman-tape", "statevector"])
+    @pytest.mark.parametrize(
+        "name", ["feynman-interp", "feynman-tape", "statevector"]
+    )
     def test_non_positive_shot_counts_rejected(self, name):
         circuit = QuantumCircuit(1)
         circuit.x(0)
@@ -369,6 +393,23 @@ class TestMeasuredNoiselessRuns:
         explicit = engine.run(circuit, state, rng=np.random.default_rng(0))
         assert np.array_equal(implicit.bits, explicit.bits)
         assert np.array_equal(implicit.amplitudes, explicit.amplitudes)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_equal_seeds_give_identical_runs(self, seed):
+        # Outcomes come only from the rng: two runs from equal streams (or
+        # both from the fixed default stream) match bit for bit.
+        circuit = self._circuit()
+        state = PathState.register_superposition(3, [0, 1])
+        outputs = [
+            get_engine("feynman-tape").run(
+                circuit,
+                state,
+                rng=None if seed is None else np.random.default_rng(seed),
+            )
+            for _ in range(2)
+        ]
+        assert np.array_equal(outputs[0].bits, outputs[1].bits)
+        assert np.array_equal(outputs[0].amplitudes, outputs[1].amplitudes)
 
 
 class TestFacade:

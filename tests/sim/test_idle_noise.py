@@ -134,7 +134,7 @@ class TestAnalyticExpectation:
         return (1.0 + (1.0 - 2.0 * self.P_IDLE) ** self.DEPTH) / 2.0
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["feynman-tape"])
+    @pytest.mark.parametrize("engine", ["feynman-tape", "feynman-interp"])
     def test_idle_qubit_matches_closed_form(self, engine):
         """Monte-Carlo fidelity of one idling |+> qubit vs the closed form."""
         circuit = _busy_idle_circuit(self.DEPTH)

@@ -25,7 +25,9 @@ from repro.sim.engine import get_engine
 from repro.sim.feynman import QueryResult
 from repro.sim.fidelity import shot_fidelities
 
-FEYNMAN_ENGINES = ("feynman-tape", "feynman-batch")
+#: The legacy names alias the tape engine; they are run too, so saved
+#: ``--engine`` flags are checked through this entry point.
+FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape", "feynman-batch")
 
 
 def measured_circuit() -> QuantumCircuit:

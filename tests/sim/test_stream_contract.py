@@ -85,7 +85,7 @@ class TestAsShotSeeds:
 
 class TestEveryRngFlavourAccepted:
     @pytest.mark.parametrize("rng", _accepted_rngs())
-    @pytest.mark.parametrize("engine", ["feynman-tape"])
+    @pytest.mark.parametrize("engine", ["feynman-tape", "feynman-interp"])
     def test_run_noisy_shots(self, qram, rng, engine):
         bits, amps = _run_noisy(qram, 6, rng, engine)
         assert bits.shape[0] == amps.shape[0] == 6 * 8
@@ -120,7 +120,7 @@ class TestIntSeedIsAShotSeedsWindow:
         by_seeds = qram.run_query(NOISE, shots=24, rng=ShotSeeds(seed=7)).fidelities
         assert np.array_equal(by_int, by_seeds)
 
-    @pytest.mark.parametrize("engine", ["feynman-tape"])
+    @pytest.mark.parametrize("engine", ["feynman-tape", "feynman-interp"])
     def test_run_noisy_shots(self, qram, engine):
         by_int = _run_noisy(qram, 24, 7, engine)
         by_numpy_int = _run_noisy(qram, 24, np.int64(7), engine)

@@ -27,7 +27,9 @@ from repro.sim import FeynmanPathSimulator, PathState, ShotSeeds
 from repro.sim.noise import GateNoiseModel, PauliChannel
 from repro.sim.seeding import draw_shot_randomness
 
-FEYNMAN_ENGINES = ("feynman-tape", "feynman-batch")
+#: The legacy names alias the tape engine; they are run too, so saved
+#: ``--engine`` flags are checked through this entry point.
+FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape", "feynman-batch")
 SEED = 20260808
 SHOTS = 3
 # The engines' exact double (one ULP below round(1/sqrt(2))): amplitudes
