@@ -216,8 +216,9 @@ class NoiseSiteTable:
     Sites are listed in the order a sequential gate-by-gate run would apply
     them: gates in instruction order, each gate's sites in the order the
     model yields them, trivial channels skipped, then the model's
-    end-of-circuit sites.  That order is the draw order of
-    :meth:`draw_shot` and so the random-stream contract.  ``group_index``
+    end-of-circuit sites.  That order is the order each shot's site
+    uniforms are drawn in (:func:`repro.sim.seeding.draw_shot_randomness`)
+    and so the random-stream contract.  ``group_index``
     is the fused group after which each site fires: normally its gate's
     group, ``gate_group - 1`` for a hoisted site (``-1`` means before the
     first group; see :meth:`GateTape._build_noise_sites`), and
@@ -231,51 +232,54 @@ class NoiseSiteTable:
     group_index: np.ndarray  # (n_sites,) int32: group after which the site fires
     channels: tuple  # (n_sites,) PauliChannel per site
     hoisted: bool = False  # some site fires before its gate's group
-    _run_cache: tuple | None = field(
+    _run_thresholds: tuple | None = field(
         default=None, repr=False, compare=False
-    )  # lazily computed (start, stop, channel) runs
+    )  # lazily computed ((3, n_runs) thresholds, (n_runs,) run lengths)
 
     @property
     def n_sites(self) -> int:
         """Number of error sites in the table."""
         return len(self.channels)
 
-    def _channel_runs(self) -> tuple:
-        """Maximal runs of consecutive equal channels: ``(start, stop, channel)``.
+    def _channel_runs(self) -> list[tuple[int, int, "PauliChannel"]]:
+        """Maximal runs of consecutive equal channels: ``(start, stop, channel)``."""
+        runs: list[tuple[int, int, "PauliChannel"]] = []
+        start = 0
+        n = self.n_sites
+        channels = self.channels
+        while start < n:
+            channel = channels[start]
+            stop = start + 1
+            while stop < n and channels[stop] == channel:
+                stop += 1
+            runs.append((start, stop, channel))
+            start = stop
+        return runs
 
-        Computed once per table (the table itself is memoized per noise
-        model) so every per-shot draw walks a handful of runs instead of
-        comparing channels site by site.
+    def thresholds(self) -> np.ndarray:
+        """Cumulative ``(I, X, Y)`` thresholds of every site: ``(3, n_sites)``.
+
+        A uniform ``u`` drawn for site ``i`` maps to the Pauli code
+        ``(u >= t[0, i]) + (u >= t[1, i]) + (u >= t[2, i])`` (0=I, 1=X, 2=Y,
+        3=Z).  The rows are built with the exact float expressions of
+        :meth:`~repro.sim.noise.PauliChannel.sample_thresholded`, so the code
+        equals that sampler's ``searchsorted(side="right")`` on the same
+        uniform.  Only the per-run thresholds are cached on the table (which
+        is itself memoized per noise model); each call expands them to sites
+        with one ``np.repeat``, so memoized tables keep no per-site array
+        alive.
         """
-        if self._run_cache is None:
-            runs: list[tuple[int, int, "PauliChannel"]] = []
-            start = 0
-            n = self.n_sites
-            channels = self.channels
-            while start < n:
-                channel = channels[start]
-                stop = start + 1
-                while stop < n and channels[stop] == channel:
-                    stop += 1
-                runs.append((start, stop, channel))
-                start = stop
-            object.__setattr__(self, "_run_cache", tuple(runs))
-        return self._run_cache
-
-    def draw_shot(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one shot's Pauli codes from its own generator: ``(n_sites,)``.
-
-        This is the only way codes are drawn (see
-        :func:`repro.sim.seeding.draw_shot_randomness`): the codes for a shot
-        depend only on that shot's generator, so any partition of a shot
-        range into shards reproduces the unsharded batch exactly.  Sites are
-        drawn in execution order via the threshold sampler, one
-        ``rng.random`` value per site.
-        """
-        codes = np.empty(self.n_sites, dtype=np.int64)
-        for start, stop, channel in self._channel_runs():
-            codes[start:stop] = channel.sample_thresholded(rng, stop - start)
-        return codes
+        if self._run_thresholds is None:
+            runs = self._channel_runs()
+            first = 1.0 - np.array([channel.p_total for *_, channel in runs])
+            second = first + np.array([channel.p_x for *_, channel in runs])
+            third = second + np.array([channel.p_y for *_, channel in runs])
+            lengths = np.array([stop - start for start, stop, _ in runs], dtype=int)
+            object.__setattr__(
+                self, "_run_thresholds", (np.stack([first, second, third]), lengths)
+            )
+        run_table, lengths = self._run_thresholds
+        return np.repeat(run_table, lengths, axis=1)
 
 
 # ------------------------------------------------------------------------ tape

@@ -61,14 +61,18 @@ executed-teleportation primitives):
 **Random-stream contract.**  Noisy runs draw only from per-shot
 :class:`~repro.sim.seeding.ShotSeeds` streams: any ``rng`` argument is
 resolved by :func:`~repro.sim.seeding.as_shot_seeds` and drawn through
-:func:`~repro.sim.seeding.draw_shot_randomness`.  Per shot, measurement
-uniforms are drawn *first* (one per ``MEASURE`` in program order -- see
-:attr:`~repro.circuit.ir.GateTape.measurements`), then the noise-site codes
-in site order (program order, see
-:class:`~repro.circuit.ir.NoiseSiteTable`).  Trajectories are therefore
-bit-identical across any ``(workers, shard_size)`` sweep split; circuits
-without measurements consume exactly the pre-measurement streams, preserving
-every committed artefact bit for bit.
+:func:`~repro.sim.seeding.draw_shot_randomness`.  Per shot, one generator
+call yields a single uniform vector: the measurement uniforms *first* (one
+per ``MEASURE`` in program order -- see
+:attr:`~repro.circuit.ir.GateTape.measurements`), then one uniform per noise
+site in site order (program order, see
+:class:`~repro.circuit.ir.NoiseSiteTable`), mapped to Pauli codes through the
+table's per-site cumulative thresholds exactly as sequential
+:meth:`~repro.sim.noise.PauliChannel.sample_thresholded` calls would map
+them.  Trajectories are therefore bit-identical across any
+``(workers, shard_size)`` sweep split; circuits without measurements consume
+exactly the pre-measurement streams, preserving every committed artefact bit
+for bit.
 
 Bounded path branching (``H``)
 ------------------------------
@@ -390,9 +394,9 @@ class TapeFeynmanEngine(Engine):
         if shots <= 0:
             raise ValueError("shots must be positive")
         tape = _checked_tape(circuit, state)
-        # One up-front draw per shot from its own stream: one uniform per
-        # measurement first, then one code per error site in program order
-        # -- what makes sharded sweeps bit-identical to serial ones.
+        # One up-front uniform vector per shot from its own stream: one
+        # uniform per measurement first, then one per error site in program
+        # order -- what makes sharded sweeps bit-identical to serial ones.
         sites: NoiseSiteTable | None = (
             None if isinstance(noise, NoiselessModel) else tape.noise_sites(noise)
         )
@@ -417,10 +421,11 @@ def _execute_stacked_shots(
     Column ``s * n_paths + p`` of the block is path ``p`` of shot ``s`` (the
     transpose of the returned row-major layout), so every gate update
     streams over one contiguous row per qubit.  ``codes`` holds the
-    pre-drawn Pauli codes (``(n_sites, shots)``), ``measure_uniforms`` the
-    pre-drawn measurement uniforms.  Returns ``(bits, amps, outcomes)`` with
-    ``bits`` back in row-major layout and ``outcomes`` the recorded
-    classical register (``None`` when the tape has no classical bits).
+    pre-drawn Pauli codes (``(n_sites, shots)``, ``uint8``),
+    ``measure_uniforms`` the pre-drawn measurement uniforms.  Returns
+    ``(bits, amps, outcomes)`` with ``bits`` back in row-major layout and
+    ``outcomes`` the recorded classical register (``None`` when the tape
+    has no classical bits).
     """
     n_paths = state.num_paths
     # np.tile always copies, so the group kernels may mutate the block in

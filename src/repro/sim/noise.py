@@ -83,9 +83,13 @@ class PauliChannel:
         Each uniform variate is mapped through the cumulative
         ``(I, X, Y, Z)`` thresholds with a single ``searchsorted``, so the
         call consumes exactly ``size`` values of ``rng.random`` regardless of
-        the channel.  This is the only Pauli sampler: the engines' per-shot
-        draw (:func:`repro.sim.seeding.draw_shot_randomness`) and
-        :func:`sample_noisy_circuit` both go through it.
+        the channel.  It is the sampler of :func:`sample_noisy_circuit`, the
+        oracle's input.  The engines' block draw
+        (:func:`repro.sim.seeding.draw_shot_randomness`) maps each site's
+        uniform through the same cumulative thresholds
+        (:meth:`repro.circuit.ir.NoiseSiteTable.thresholds`), so it returns
+        the codes sequential calls of this sampler, one value per site,
+        would.
         """
         cumulative = np.array(
             [

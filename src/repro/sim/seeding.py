@@ -20,9 +20,13 @@ guarantees, and two distinct ``(point, shot)`` coordinates can never collide.
 This is the only random-stream contract noisy execution has.  Every Feynman
 engine (:mod:`repro.sim.engine`) resolves its ``rng`` argument to a
 ``ShotSeeds`` window with :func:`as_shot_seeds` and draws through
-:func:`draw_shot_randomness`: every shot's measurement uniforms and Pauli
-error codes come from the shot's own generator, in noise-site order, via the
-threshold sampler (:meth:`repro.sim.noise.PauliChannel.sample_thresholded`).
+:func:`draw_shot_randomness`: each shot's generator yields one uniform
+vector -- the measurement uniforms, then one uniform per noise site in site
+order -- and the site uniforms map to Pauli codes through the site table's
+cumulative thresholds (:meth:`repro.circuit.ir.NoiseSiteTable.thresholds`).
+Those are the floats and the comparison of the threshold sampler
+(:meth:`repro.sim.noise.PauliChannel.sample_thresholded`), so the codes equal
+sequential per-site threshold draws from the same generator.
 The engines' trajectories are therefore bit-identical to each other, any
 sharding of the shot range reproduces the unsharded run exactly, and the
 first ``n`` shots of a run equal an ``n``-shot run under the same ``rng``.
@@ -35,6 +39,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = ["ShotSeeds", "as_shot_seeds", "draw_shot_randomness"]
+
+#: Uniforms mapped per chunk of shots by :func:`draw_shot_randomness` (a
+#: chunk holds at least one shot), which bounds its float scratch block.
+_DRAW_CHUNK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -118,33 +126,47 @@ def draw_shot_randomness(
 
     This is the single implementation of the per-shot random-stream contract
     (the Feynman engine delegates here, after :func:`as_shot_seeds`): each
-    shot's generator is consumed in the fixed order -- **measurement uniforms
-    first** (``n_measurements`` values), **then the noise-site codes** (one
-    threshold draw per site of ``sites``, a
-    :class:`~repro.circuit.ir.NoiseSiteTable` or ``None``).
-    Because a shot's draws depend only on its own stream, any sharding of the
-    shot range reproduces the unsharded draw exactly.
+    shot's generator is called once, for ``n_measurements + n_sites``
+    uniforms -- **measurement uniforms first**, **then one uniform per noise
+    site** of ``sites`` (a :class:`~repro.circuit.ir.NoiseSiteTable` or
+    ``None``), in site order.  Site uniforms become Pauli codes through the
+    table's cumulative thresholds, ``code = sum_k (u >= t_k)``, which equals
+    sequential :meth:`~repro.sim.noise.PauliChannel.sample_thresholded`
+    draws of one value per site.  Because a shot's draws depend only on its
+    own stream, any sharding of the shot range reproduces the unsharded draw
+    exactly.  Shots are mapped in chunks of about ``_DRAW_CHUNK_VALUES``
+    uniforms, so the float block never spans the whole shot range.
 
-    Returns ``codes`` of shape ``(n_sites, shots)`` (``None`` without a site
-    table) and ``uniforms`` of shape ``(n_measurements, shots)`` (``None``
-    without measurements); both are laid out shot-per-column so downstream
-    consumers can vectorise across the shot axis.  With neither, no shot
-    stream is built at all.
+    Returns ``codes`` of shape ``(n_sites, shots)`` and dtype ``uint8``
+    (``None`` without a site table) and ``uniforms`` of shape
+    ``(n_measurements, shots)`` (``None`` without measurements); both are
+    laid out shot-per-column so downstream consumers can vectorise across
+    the shot axis.  When a shot has nothing to draw, no shot stream is built
+    at all.
     """
-    if sites is None and not n_measurements:
-        return None, None
-    codes = (
-        np.empty((sites.n_sites, shots), dtype=np.int64)
-        if sites is not None
-        else None
-    )
+    n_sites = 0 if sites is None else sites.n_sites
+    codes = None if sites is None else np.empty((n_sites, shots), dtype=np.uint8)
     uniforms = (
         np.empty((n_measurements, shots), dtype=float) if n_measurements else None
     )
-    for shot in range(shots):
-        generator = seeds.generator(shot)
+    width = n_measurements + n_sites
+    if not width:
+        return codes, uniforms
+    if n_sites:
+        thresholds = sites.thresholds()[:, :, None]
+    chunk = max(1, _DRAW_CHUNK_VALUES // width)
+    block = np.empty((min(chunk, shots), width))
+    for lo in range(0, shots, chunk):
+        count = min(chunk, shots - lo)
+        for row in range(count):
+            seeds.generator(lo + row).random(out=block[row])
+        drawn = block[:count].T
         if uniforms is not None:
-            uniforms[:, shot] = generator.random(n_measurements)
-        if codes is not None:
-            codes[:, shot] = sites.draw_shot(generator)
+            uniforms[:, lo : lo + count] = drawn[:n_measurements]
+        if n_sites:
+            site_uniforms = drawn[n_measurements:]
+            chunk_codes = codes[:, lo : lo + count]
+            np.greater_equal(site_uniforms, thresholds[0], out=chunk_codes)
+            chunk_codes += site_uniforms >= thresholds[1]
+            chunk_codes += site_uniforms >= thresholds[2]
     return codes, uniforms

@@ -11,7 +11,8 @@ from repro.circuit.ir import (
     OP_SWAP,
     OPCODE_NAMES,
 )
-from repro.sim import GateNoiseModel, NoiselessModel, PauliChannel
+from repro.sim import GateNoiseModel, NoiselessModel, PauliChannel, ShotSeeds
+from repro.sim.seeding import draw_shot_randomness
 
 
 def _example_circuit() -> QuantumCircuit:
@@ -149,24 +150,26 @@ class TestNoiseSites:
         noise = GateNoiseModel(PauliChannel.bit_flip(1e-3))
         assert tape.noise_sites(noise) is tape.noise_sites(noise)
 
-    def test_draw_shot_matches_per_site_sampling(self):
+    def test_draw_column_matches_per_site_sampling(self):
         # Mixed channels (two_qubit_factor != 1) force several channel runs;
-        # the run-wise draw must equal sequential per-site draws from one
-        # generator -- the property the tape engine's equivalence with the
-        # sample_noisy_circuit oracle rests on.
+        # column ``s`` of the block draw must equal sequential per-site
+        # draws from shot ``s``'s generator -- the property the tape
+        # engine's equivalence with the sample_noisy_circuit oracle rests on.
         tape = compile_circuit(_example_circuit())
         noise = GateNoiseModel(
             PauliChannel.depolarizing(0.3), two_qubit_factor=2.0
         )
         sites = tape.noise_sites(noise)
         assert len(sites._channel_runs()) > 1
-        drawn = sites.draw_shot(np.random.default_rng(3))
-        sequential_rng = np.random.default_rng(3)
-        manual = np.concatenate(
-            [
-                channel.sample_thresholded(sequential_rng, 1)
-                for channel in sites.channels
-            ]
-        )
-        assert drawn.shape == (sites.n_sites,)
-        assert np.array_equal(drawn, manual)
+        seeds = ShotSeeds(seed=3, start=2)
+        codes, _ = draw_shot_randomness(sites, seeds, 4)
+        assert codes.shape == (sites.n_sites, 4)
+        for shot in range(4):
+            sequential_rng = seeds.generator(shot)
+            manual = np.concatenate(
+                [
+                    channel.sample_thresholded(sequential_rng, 1)
+                    for channel in sites.channels
+                ]
+            )
+            assert np.array_equal(codes[:, shot], manual)

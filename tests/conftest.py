@@ -111,6 +111,23 @@ def gate_noise_models() -> st.SearchStrategy:
     return build()
 
 
+def site_table(channels):
+    """A bare :class:`NoiseSiteTable` over ``channels``, one site per channel.
+
+    Gate, qubit and group indices are placeholders: the draw reads only the
+    channels.
+    """
+    from repro.circuit.ir import NoiseSiteTable
+
+    placeholder = np.zeros(len(channels), dtype=np.int32)
+    return NoiseSiteTable(
+        gate_index=placeholder,
+        qubit=placeholder,
+        group_index=placeholder,
+        channels=tuple(channels),
+    )
+
+
 def assert_shots_match_oracle(circuit, state, noise, seeds, shots) -> None:
     """Every shot block of a noisy tape run equals its dense-oracle replay.
 

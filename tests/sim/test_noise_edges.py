@@ -21,6 +21,7 @@ from repro.sim.noise import (
     PauliChannel,
 )
 from repro.sim.seeding import draw_shot_randomness
+from tests.conftest import site_table
 
 
 class TestSampleThresholdedEdges:
@@ -58,33 +59,23 @@ class TestSampleThresholdedEdges:
         assert a.bit_generator.state == b.bit_generator.state
 
 
-def _site_table(*channels: PauliChannel) -> NoiseSiteTable:
-    placeholder = np.zeros(len(channels), dtype=np.int32)
-    return NoiseSiteTable(
-        gate_index=placeholder,
-        qubit=placeholder,
-        group_index=placeholder,
-        channels=channels,
-    )
-
-
 class TestShotBlockEdges:
     def test_p_total_zero_block(self):
         codes, _ = draw_shot_randomness(
-            _site_table(*[PauliChannel()] * 3), ShotSeeds(seed=1), 7
+            site_table([PauliChannel()] * 3), ShotSeeds(seed=1), 7
         )
         assert codes.shape == (3, 7)
         assert np.all(codes == PAULI_I)
 
     def test_p_total_one_block(self):
         codes, _ = draw_shot_randomness(
-            _site_table(*[PauliChannel(p_y=1.0)] * 2), ShotSeeds(seed=2), 50
+            site_table([PauliChannel(p_y=1.0)] * 2), ShotSeeds(seed=2), 50
         )
         assert codes.shape == (2, 50)
         assert np.all(codes == PAULI_Y)
 
     def test_empty_site_block(self):
-        codes, uniforms = draw_shot_randomness(_site_table(), ShotSeeds(seed=3), 9)
+        codes, uniforms = draw_shot_randomness(site_table([]), ShotSeeds(seed=3), 9)
         assert codes.shape == (0, 9)
         assert uniforms is None
 
@@ -95,9 +86,10 @@ class TestEmptySiteWindows:
         circuit.add("CX", 0, 1)
         table = compile_circuit(circuit).noise_sites(NoiselessModel())
         assert table.n_sites == 0
-        assert table.draw_shot(np.random.default_rng(0)).shape == (0,)
         codes, _ = draw_shot_randomness(table, ShotSeeds(seed=3), 5)
         assert codes.shape == (0, 5)
+        codes, _ = draw_shot_randomness(table, ShotSeeds(seed=0), 1)
+        assert codes.shape == (0, 1)
 
     def test_gateless_circuit_yields_empty_table(self):
         circuit = QuantumCircuit(3)
@@ -106,7 +98,8 @@ class TestEmptySiteWindows:
             GateNoiseModel(PauliChannel(p_x=0.5))
         )
         assert table.n_sites == 0
-        assert table.draw_shot(np.random.default_rng(1)).shape == (0,)
+        codes, _ = draw_shot_randomness(table, ShotSeeds(seed=1), 1)
+        assert codes.shape == (0, 1)
 
     def test_manual_empty_table_draws(self):
         empty = np.empty(0, dtype=np.int32)

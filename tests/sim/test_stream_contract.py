@@ -5,9 +5,13 @@ Whatever ``rng`` a caller passes -- an int seed, a NumPy integer, a
 resolve it with :func:`~repro.sim.seeding.as_shot_seeds` and draw every
 shot's randomness through :func:`~repro.sim.seeding.draw_shot_randomness`.
 These tests pin the resolver, the public entry points that accept ``rng``,
-and an independent reference for the draw: ``sample_noisy_circuit`` fed the
-shot's own generator inserts exactly the Paulis the engines apply.
+and two independent references for the draw: ``sample_noisy_circuit`` fed the
+shot's own generator inserts exactly the Paulis the engines apply, and the
+chunked block draw equals a per-shot loop of sequential per-site
+``sample_thresholded`` draws.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +30,9 @@ from repro.sim import (
     sample_noisy_circuit,
 )
 from repro.sim.noise import PAULI_I, ScheduledNoiseModel
+from repro.sim import seeding
 from repro.sim.seeding import as_shot_seeds, draw_shot_randomness
-from tests.conftest import gate_noise_models, random_reversible_circuits
+from tests.conftest import gate_noise_models, random_reversible_circuits, site_table
 
 NOISE = GateNoiseModel(PauliChannel.depolarizing(0.05))
 _PAULI_CODES = {"X": 1, "Y": 2, "Z": 3}
@@ -227,3 +232,179 @@ class TestSampledCircuitReference:
             block = slice(shot * n_paths, (shot + 1) * n_paths)
             assert np.array_equal(replay.bits, bits[block])
             assert np.allclose(replay.amplitudes, amps[block], rtol=0, atol=1e-12)
+
+
+# ------------------------------------------------------------- block draw
+#: Channels the block draw must map exactly: trivial and certain
+#: (``p_total`` of 0 and 1), single-Pauli and depolarizing.
+_CHANNEL_POOL = [
+    PauliChannel(),
+    PauliChannel(p_y=1.0),
+    PauliChannel(p_x=0.3, p_y=0.3, p_z=0.4),
+    PauliChannel.phase_flip(0.2),
+    PauliChannel.bit_flip(0.05),
+    PauliChannel(p_y=0.15),
+    PauliChannel.depolarizing(0.3),
+    PauliChannel.depolarizing(1e-3),
+]
+
+
+def _reference_draw(channels, seeds: ShotSeeds, shots: int, n_measurements: int):
+    """Per-shot, per-site sequential draw: the contract the block draw keeps."""
+    codes = np.empty((len(channels), shots), dtype=np.int64)
+    uniforms = np.empty((n_measurements, shots))
+    for shot in range(shots):
+        generator = seeds.generator(shot)
+        uniforms[:, shot] = generator.random(n_measurements)
+        for site, channel in enumerate(channels):
+            codes[site, shot] = channel.sample_thresholded(generator, 1)[0]
+    return codes, uniforms
+
+
+@st.composite
+def _channel_runs(draw):
+    """Channels as runs of equal channels, including runs of length one."""
+    runs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_CHANNEL_POOL), st.integers(1, 6)),
+            max_size=8,
+        )
+    )
+    return [channel for channel, length in runs for _ in range(length)]
+
+
+def _cumulative(channel: PauliChannel) -> np.ndarray:
+    """The ``(I, X, Y)`` thresholds exactly as ``sample_thresholded`` forms them."""
+    return np.array(
+        [
+            1.0 - channel.p_total,
+            1.0 - channel.p_total + channel.p_x,
+            1.0 - channel.p_total + channel.p_x + channel.p_y,
+        ]
+    )
+
+
+class _FixedUniforms:
+    """Generator stand-in handing out a fixed sequence of uniforms in order."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=float)
+        self._cursor = 0
+
+    def random(self, size=None, out=None):
+        count = out.shape[0] if out is not None else size
+        values = self._values[self._cursor : self._cursor + count]
+        self._cursor += count
+        if out is None:
+            return values.copy()
+        out[:] = values
+        return out
+
+
+class TestBlockDrawEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        channels=_channel_runs(),
+        n_measurements=st.integers(0, 3),
+        seed=st.integers(0, 2**32),
+        point_index=st.integers(0, 5),
+        start=st.integers(0, 10**6),
+        shots=st.integers(1, 9),
+        chunk_values=st.integers(1, 64),
+    )
+    def test_block_draw_equals_per_shot_reference(
+        self, channels, n_measurements, seed, point_index, start, shots, chunk_values
+    ):
+        """Every chunking of the shot range equals the sequential draw.
+
+        ``chunk_values`` below the row width makes every chunk a single
+        shot; larger values split the shots over several chunks.
+        """
+        seeds = ShotSeeds(seed=seed, point_index=point_index, start=start)
+        with mock.patch.object(seeding, "_DRAW_CHUNK_VALUES", chunk_values):
+            codes, uniforms = draw_shot_randomness(
+                site_table(channels), seeds, shots, n_measurements
+            )
+        expected_codes, expected_uniforms = _reference_draw(
+            channels, seeds, shots, n_measurements
+        )
+        assert codes.shape == expected_codes.shape
+        assert np.array_equal(codes, expected_codes)
+        if n_measurements:
+            assert np.array_equal(uniforms, expected_uniforms)
+        else:
+            assert uniforms is None
+
+    def test_many_chunks_at_the_default_chunk_size(self):
+        channels = [PauliChannel.depolarizing(0.4)] * 1500
+        seeds = ShotSeeds(seed=11, start=3)
+        assert seeding._DRAW_CHUNK_VALUES // 1502 < 70
+        codes, uniforms = draw_shot_randomness(site_table(channels), seeds, 70, 2)
+        expected_codes, expected_uniforms = _reference_draw(channels, seeds, 70, 2)
+        assert np.array_equal(codes, expected_codes)
+        assert np.array_equal(uniforms, expected_uniforms)
+
+    def test_row_wider_than_a_chunk_draws_one_shot_per_chunk(self):
+        width = seeding._DRAW_CHUNK_VALUES + 5
+        channels = [PauliChannel.phase_flip(0.5)] * (width - 1)
+        seeds = ShotSeeds(seed=4)
+        codes, uniforms = draw_shot_randomness(site_table(channels), seeds, 3, 1)
+        for shot in range(3):
+            row = seeds.generator(shot).random(width)
+            assert uniforms[0, shot] == row[0]
+            assert np.array_equal(codes[:, shot], np.where(row[1:] >= 0.5, 3, 0))
+
+    def test_uniform_on_a_threshold_maps_like_searchsorted_right(self):
+        """A uniform equal to a threshold takes the upper code, as searchsorted."""
+        channels, values = [], []
+        for channel in _CHANNEL_POOL:
+            for threshold in _cumulative(channel):
+                for value in (threshold, np.nextafter(threshold, -np.inf)):
+                    channels.append(channel)
+                    values.append(value)
+        sites = site_table(channels)
+        with mock.patch.object(
+            ShotSeeds, "generator", lambda self, shot: _FixedUniforms([0.5] + values)
+        ):
+            codes, _ = draw_shot_randomness(sites, ShotSeeds(seed=0), 1, 1)
+        for site, (channel, value) in enumerate(zip(channels, values)):
+            expected = np.searchsorted(_cumulative(channel), value, side="right")
+            assert codes[site, 0] == expected
+            sampled = channel.sample_thresholded(_FixedUniforms([value]), 1)[0]
+            assert sampled == expected
+
+
+class TestShotStreamsBuilt:
+    @staticmethod
+    def _counting(monkeypatch) -> list[int]:
+        calls: list[int] = []
+        original = ShotSeeds.generator
+
+        def generator(self, local_shot):
+            calls.append(local_shot)
+            return original(self, local_shot)
+
+        monkeypatch.setattr(ShotSeeds, "generator", generator)
+        return calls
+
+    def test_empty_table_without_measurements_builds_no_stream(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        codes, uniforms = draw_shot_randomness(
+            site_table([]), ShotSeeds(seed=1), 1000
+        )
+        assert codes.shape == (0, 1000)
+        assert uniforms is None
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "channels, n_measurements",
+        [([], 2), ([PauliChannel.bit_flip(0.1)], 0), ([PauliChannel()] * 40, 3)],
+    )
+    def test_one_stream_per_shot_when_drawing(
+        self, monkeypatch, channels, n_measurements
+    ):
+        calls = self._counting(monkeypatch)
+        draw_shot_randomness(
+            site_table(channels), ShotSeeds(seed=1), 12, n_measurements
+        )
+        assert calls == list(range(12))
