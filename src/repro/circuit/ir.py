@@ -218,13 +218,13 @@ class NoiseSiteTable:
     model yields them, trivial channels skipped, then the model's
     end-of-circuit sites.  That order is the order each shot's site
     uniforms are drawn in (:func:`repro.sim.seeding.draw_shot_randomness`)
-    and so the random-stream contract.  ``group_index``
-    is the fused group after which each site fires: normally its gate's
-    group, ``gate_group - 1`` for a hoisted site (``-1`` means before the
-    first group; see :meth:`GateTape._build_noise_sites`), and
-    ``num_groups`` for end-of-circuit sites, which carry
-    ``gate_index == -1``.  ``hoisted`` is True when any site is hoisted;
-    only then can ``group_index`` decrease along the site order.
+    and so the random-stream contract.  ``group_index`` is the fused group
+    after which each site fires: normally its gate's group,
+    ``gate_group - 1`` for a hoisted site (``-1`` means before the first
+    group; see :meth:`GateTape._build_noise_sites`), and ``num_groups`` for
+    end-of-circuit sites, which carry ``gate_index == -1``.  ``hoisted`` is
+    True when any site is hoisted; only then can ``group_index`` decrease
+    along the site order.
     """
 
     gate_index: np.ndarray  # (n_sites,) int32: index into GateTape.gates
