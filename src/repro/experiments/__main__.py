@@ -62,6 +62,7 @@ from repro.hardware.router import (
     set_default_router,
 )
 from repro.sim.engine import available_engines, get_default_engine, set_default_engine
+from repro.sweep import non_negative_int, positive_int
 
 
 # Each wrapper runs its sweep exactly once and renders the report from the
@@ -168,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with 'scenario': list registered scenarios and exit",
     )
-    parser.add_argument("--shots", type=int, default=None, help="Monte-Carlo shots override")
+    parser.add_argument(
+        "--shots", type=positive_int, default=None, help="Monte-Carlo shots override"
+    )
     parser.add_argument("--quick", action="store_true", help="smaller sweeps for a fast run")
     parser.add_argument("--m", type=int, default=4, help="QRAM width for table1")
     parser.add_argument("--k", type=int, default=2, help="SQC width for table1")
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=non_negative_int,
         default=None,
         help="worker processes for sharded sweeps (1 = serial, 0 = all cores; "
         "default: the REPRO_SWEEP_WORKERS environment variable, else 1). "
@@ -206,10 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shard-size",
-        type=int,
+        type=positive_int,
         default=None,
-        help="Monte-Carlo shots per work unit (scheduling granularity only; "
-        "results are bit-identical for every shard size)",
+        help="Monte-Carlo shots per work unit (default: sized from shots and "
+        "workers; scheduling granularity only, results are bit-identical for "
+        "every shard size)",
     )
     parser.add_argument(
         "--out",

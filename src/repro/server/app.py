@@ -53,6 +53,7 @@ from repro.server.responses import (
     ok_envelope,
 )
 from repro.sim.engine import available_engines
+from repro.sweep import non_negative_int
 
 _FINGERPRINT = re.compile(r"^[0-9a-f]{64}$")
 
@@ -375,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=non_negative_int,
         default=None,
         help="sweep worker processes per job (see repro.sweep)",
     )

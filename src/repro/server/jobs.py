@@ -27,6 +27,7 @@ from repro.cache.store import ResultCache
 from repro.circuit.ir import BranchBudgetError
 from repro.scenarios.run import run_scenario
 from repro.scenarios.spec import ScenarioSpec
+from repro.sweep import resolve_workers
 
 #: Job lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "error")
@@ -129,7 +130,9 @@ class JobWorker:
     ) -> None:
         self.table = table
         self.cache = cache
-        self.workers = workers
+        # Resolved (and validated) here, so a bad count fails construction
+        # instead of every job it would run.
+        self.workers = resolve_workers(workers)
         self.shard_size = shard_size
         self._queue: queue.Queue[Job | None] = queue.Queue()
         self._thread = threading.Thread(

@@ -9,27 +9,40 @@ Public surface
 * :class:`~repro.sweep.runner.ShotShard` -- one work unit, carrying its
   deterministic :class:`~repro.sim.seeding.ShotSeeds` window.
 * :func:`~repro.sweep.runner.split_shots` / :func:`~repro.sweep.runner.resolve_workers`
-  -- the decomposition and worker-count policies.
+  -- the decomposition and worker-count policies;
+  :data:`~repro.sweep.runner.MIN_SHARD_SHOTS` /
+  :data:`~repro.sweep.runner.MAX_SHARD_SHOTS` bound the shard size
+  :meth:`~repro.sweep.runner.SweepRunner.shard_size_for` picks when the
+  caller does not.
+* :func:`~repro.sweep.runner.positive_int` /
+  :func:`~repro.sweep.runner.non_negative_int` -- ``argparse`` types for the
+  shot, shard and worker options of every command line.
 * :class:`~repro.sim.seeding.ShotSeeds` -- re-exported per-shot seed streams
   (the contract the execution engines implement).
 """
 
 from repro.sim.seeding import ShotSeeds
 from repro.sweep.runner import (
-    DEFAULT_SHARD_SIZE,
+    MAX_SHARD_SHOTS,
+    MIN_SHARD_SHOTS,
     WORKERS_ENV_VAR,
     ShotShard,
     SweepRunner,
+    non_negative_int,
+    positive_int,
     resolve_workers,
     split_shots,
 )
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
+    "MAX_SHARD_SHOTS",
+    "MIN_SHARD_SHOTS",
     "WORKERS_ENV_VAR",
     "ShotSeeds",
     "ShotShard",
     "SweepRunner",
+    "non_negative_int",
+    "positive_int",
     "resolve_workers",
     "split_shots",
 ]

@@ -17,6 +17,14 @@ for **any** ``workers`` and **any** ``shard_size``, which is what lets CI run
 the same sweep at ``--workers 1`` and ``--workers 4`` and diff the artefacts
 byte for byte.
 
+The shard size is therefore free to follow the work.  Unless the caller
+fixes it, :meth:`SweepRunner.shard_size_for` sizes each point's units from
+its shot count and the worker count: a serial run takes one unit per point,
+a pool run about four units per worker per point, and either is clamped to
+:data:`MIN_SHARD_SHOTS` .. :data:`MAX_SHARD_SHOTS` shots.  Wide units
+amortise the execution engines' per-gate-group dispatch over many shots;
+the cap bounds the per-unit working set.
+
 Worker functions must be module-level (picklable by reference) and their
 point specs must be picklable values; workers rebuild heavyweight objects
 (architectures, routed circuits) from the spec, typically behind a
@@ -37,10 +45,16 @@ import numpy as np
 from repro.sim.feynman import QueryResult
 from repro.sim.seeding import ShotSeeds
 
-#: Shots per shard when the caller does not choose.  Small enough that quick
-#: sweeps still split into several units per point, large enough that the
-#: per-unit pickling/IPC overhead stays well below the simulation cost.
-DEFAULT_SHARD_SIZE = 32
+#: Fewest shots in an automatically sized unit.  Below this the engines'
+#: per-gate-group dispatch and the per-unit pickling/IPC cost more than the
+#: arithmetic on the shot block.
+MIN_SHARD_SHOTS = 32
+
+#: Most shots in an automatically sized unit.  The engines' working set grows
+#: with the unit: on the widest built-in scenario (``htree-dual-rail-idle``)
+#: 256-shot units peak at ~1.6 MB of traced memory against ~1.2 MB for
+#: 32-shot units, so the cap keeps peak memory flat.
+MAX_SHARD_SHOTS = 256
 
 #: Environment variable consulted when ``workers`` is not given.  CI sets it
 #: to run the whole tier-1 suite under a fixed worker count.
@@ -61,6 +75,30 @@ def resolve_workers(workers: int | None) -> int:
     if workers < 0:
         raise ValueError(f"workers must be non-negative, got {workers}")
     return workers
+
+
+def positive_int(text: str) -> int:
+    """Parse a shot or shard count option; ``ValueError`` unless ``>= 1``.
+
+    An ``argparse`` ``type=``: the ``ValueError`` becomes a usage error
+    (exit status 2) naming the option, not a traceback from deep in a run.
+    """
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """Parse a worker-count option; ``ValueError`` unless ``>= 0``.
+
+    The ``argparse`` ``type=`` for ``--workers`` (``0`` means every core,
+    see :func:`resolve_workers`).
+    """
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
 
 
 def split_shots(shots: int, shard_size: int) -> list[tuple[int, int]]:
@@ -95,6 +133,22 @@ class ShotShard:
         return ShotSeeds(seed=self.seed, point_index=self.point_index, start=self.start)
 
 
+def _plan_shards(
+    plan: Sequence[tuple[int, int]], *, seed: int, point_index: int
+) -> list[ShotShard]:
+    """One point's :class:`ShotShard` units for a :func:`split_shots` plan."""
+    return [
+        ShotShard(
+            point_index=point_index,
+            shard_index=shard_index,
+            start=start,
+            shots=count,
+            seed=seed,
+        )
+        for shard_index, (start, count) in enumerate(plan)
+    ]
+
+
 class SweepRunner:
     """Executes sweep work units serially or across a process pool.
 
@@ -106,9 +160,10 @@ class SweepRunner:
         ``REPRO_SWEEP_WORKERS`` environment variable (default 1).  The
         worker count never changes results, only wall-clock time.
     shard_size:
-        Shots per :class:`ShotShard` (default :data:`DEFAULT_SHARD_SIZE`).
-        Also purely a scheduling knob: per-shot seeding makes merged results
-        bit-identical across shard sizes.
+        Shots per :class:`ShotShard`.  ``None`` (the default) sizes the units
+        of each point from its shot count and the worker count (see
+        :meth:`shard_size_for`).  Also purely a scheduling knob: per-shot
+        seeding makes merged results bit-identical across shard sizes.
     """
 
     def __init__(
@@ -117,7 +172,7 @@ class SweepRunner:
         self.workers = resolve_workers(workers)
         if shard_size is not None and shard_size <= 0:
             raise ValueError(f"shard_size must be positive, got {shard_size}")
-        self.shard_size = DEFAULT_SHARD_SIZE if shard_size is None else shard_size
+        self.shard_size = shard_size
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SweepRunner(workers={self.workers}, shard_size={self.shard_size})"
@@ -169,20 +224,23 @@ class SweepRunner:
         """
         return self.map_units(fn, [(spec,) for spec in specs])
 
+    def shard_size_for(self, shots: int) -> int:
+        """Shots per work unit for a point of ``shots`` shots.
+
+        An explicit ``shard_size`` is returned as given.  Otherwise a serial
+        runner takes the whole point as one unit and a pool runner splits it
+        into about four units per worker, so the pool can balance load; both
+        are clamped to ``MIN_SHARD_SHOTS .. MAX_SHARD_SHOTS``.
+        """
+        if self.shard_size is not None:
+            return self.shard_size
+        target = shots if self.workers == 1 else -(-shots // (4 * self.workers))
+        return min(MAX_SHARD_SHOTS, max(MIN_SHARD_SHOTS, target))
+
     def shards(self, shots: int, *, seed: int, point_index: int = 0) -> list[ShotShard]:
         """The :class:`ShotShard` decomposition of one point's shot loop."""
-        return [
-            ShotShard(
-                point_index=point_index,
-                shard_index=shard_index,
-                start=start,
-                shots=count,
-                seed=seed,
-            )
-            for shard_index, (start, count) in enumerate(
-                split_shots(shots, self.shard_size)
-            )
-        ]
+        plan = split_shots(shots, self.shard_size_for(shots))
+        return _plan_shards(plan, seed=seed, point_index=point_index)
 
     def map_shards(
         self,
@@ -197,23 +255,25 @@ class SweepRunner:
 
         ``fn(spec, shard)`` must return the shard's per-shot fidelity array
         (length ``shard.shots``), drawn under ``shard.seeds()``.  Every point
-        gets ``shots`` total shots split by ``self.shard_size``; the merged
-        per-point arrays are returned as
-        :class:`~repro.sim.feynman.QueryResult` instances, concatenated in
-        shot order so the result is invariant under workers and shard size.
+        gets ``shots`` total shots split by :meth:`shard_size_for`, resolved
+        once per call so every point shares one plan; the merged per-point
+        arrays are returned as :class:`~repro.sim.feynman.QueryResult`
+        instances, concatenated in shot order so the result is invariant
+        under workers and shard size.
 
         ``point_offset`` shifts the seed-keying point index of ``specs[0]``,
         letting a caller embed a sub-sweep into a larger sweep's coordinate
         space without re-seeding collisions.
         """
-        units: list[tuple[Any, ShotShard]] = []
-        for index, spec in enumerate(specs):
-            point_index = point_offset + index
-            for shard in self.shards(shots, seed=seed, point_index=point_index):
-                units.append((spec, shard))
+        plan = split_shots(shots, self.shard_size_for(shots))
+        units = [
+            (spec, shard)
+            for index, spec in enumerate(specs)
+            for shard in _plan_shards(plan, seed=seed, point_index=point_offset + index)
+        ]
         outputs = self.map_units(fn, units)
 
-        shards_per_point = len(split_shots(shots, self.shard_size))
+        shards_per_point = len(plan)
         results: list[QueryResult] = []
         for point_index in range(len(specs)):
             block = outputs[

@@ -308,6 +308,40 @@ class TestShardedCommandLine:
             assert serial == pool
 
 
+class TestCountFlagsAreUsageErrors:
+    """Out-of-range counts exit with status 2 and a usage message.
+
+    Before the parser validated them, ``--shots 0`` on a figure silently ran
+    the default shot count and the scenario runner raised a traceback.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "ideal-m3", "--shard-size", "0"],
+            ["scenario", "ideal-m3", "--shots", "0"],
+            ["scenario", "ideal-m3", "--workers", "-1"],
+            ["all", "--quick", "--shots", "0"],
+            ["fig9", "--quick", "--shots", "-3"],
+            ["fig9", "--quick", "--shard-size", "-1"],
+            ["fig9", "--quick", "--workers", "two"],
+        ],
+    )
+    def test_bad_count_exits_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        flag = next(arg for arg in argv if arg.startswith("--") and arg != "--quick")
+        assert "usage:" in captured.err
+        assert f"argument {flag}" in captured.err
+        assert captured.out == ""
+
+    def test_zero_workers_still_means_every_core(self):
+        args = build_parser().parse_args(["fig9", "--workers", "0"])
+        assert args.workers == 0
+
+
 class TestAllPropagatesFailures:
     def test_all_continues_past_a_failure_and_exits_nonzero(
         self, capsys, monkeypatch

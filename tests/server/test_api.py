@@ -332,3 +332,30 @@ def test_server_main_module_importable():
     from repro.server.app import main
 
     assert callable(main)
+
+
+class TestWorkerCountValidation:
+    """A bad worker count fails at startup, not in every cold job."""
+
+    def test_cli_rejects_negative_workers_before_serving(self, capsys):
+        from repro.server.app import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--port", "0", "--workers", "-1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --workers" in err
+
+    def test_job_worker_rejects_negative_workers(self, tmp_path):
+        from repro.server.jobs import JobWorker
+
+        with pytest.raises(ValueError, match="workers must be non-negative"):
+            JobWorker(JobTable(), ResultCache(tmp_path), workers=-1)
+
+    def test_job_worker_resolves_workers_once(self, tmp_path, monkeypatch):
+        from repro.server.jobs import JobWorker
+        from repro.sweep import WORKERS_ENV_VAR
+
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        worker = JobWorker(JobTable(), ResultCache(tmp_path))
+        assert worker.workers == 3

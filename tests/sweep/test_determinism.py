@@ -89,6 +89,36 @@ class TestEveryEngineIsShardInvariant:
         )
 
 
+class TestAutomaticShardSizeIsInvariant:
+    """The shot- and worker-sized units merge to the fixed-size run.
+
+    300 shots split into 256 + 44 serially and into 38-shot units at two
+    workers, so both the capped unit and the pool split are exercised.
+    """
+
+    AUTO_SHOTS = 300
+
+    def _sweep(self, workers: int, shard_size: int | None) -> list[np.ndarray]:
+        runner = SweepRunner(workers=workers, shard_size=shard_size)
+        specs = [("feynman-tape",), ("feynman-tape",)]
+        results = runner.map_shards(
+            _query_shard, specs, shots=self.AUTO_SHOTS, seed=SEED
+        )
+        return [result.fidelities for result in results]
+
+    @pytest.mark.parametrize(
+        ("workers", "units"), [(1, [256, 44]), (2, [38] * 7 + [34])]
+    )
+    def test_matches_explicit_shard_size(self, workers, units):
+        runner = SweepRunner(workers=workers)
+        assert [s.shots for s in runner.shards(self.AUTO_SHOTS, seed=SEED)] == units
+        reference = self._sweep(workers=1, shard_size=7)
+        merged = self._sweep(workers=workers, shard_size=None)
+        assert len(merged) == len(reference) == 2
+        for got, want in zip(merged, reference):
+            assert np.array_equal(got, want)
+
+
 class TestPointWindowsMatchDenseOracle:
     def test_tape_shots_match_dense_oracle(self):
         architecture = _architecture()

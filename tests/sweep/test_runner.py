@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sweep import (
-    DEFAULT_SHARD_SIZE,
+    MAX_SHARD_SHOTS,
+    MIN_SHARD_SHOTS,
     WORKERS_ENV_VAR,
     ShotShard,
     SweepRunner,
@@ -77,8 +78,31 @@ class TestSweepRunner:
         assert all(s.point_index == 5 and s.seed == 9 for s in shards)
         assert [s.shard_index for s in shards] == [0, 1, 2]
 
-    def test_default_shard_size(self):
-        assert SweepRunner(workers=1).shard_size == DEFAULT_SHARD_SIZE
+    @pytest.mark.parametrize(
+        ("workers", "shard_size", "shots", "expected"),
+        [
+            # Serial: one unit per point, clamped to the bounds.
+            (1, None, 1, MIN_SHARD_SHOTS),
+            (1, None, 31, MIN_SHARD_SHOTS),
+            (1, None, 100, 100),
+            (1, None, 256, MAX_SHARD_SHOTS),
+            (1, None, 300, MAX_SHARD_SHOTS),
+            (1, None, 4096, MAX_SHARD_SHOTS),
+            # Pool: about four units per worker per point, clamped.
+            (2, None, 20, MIN_SHARD_SHOTS),
+            (2, None, 300, 38),
+            (2, None, 2048, 256),
+            (4, None, 1000, 63),
+            (2, None, 10_000, MAX_SHARD_SHOTS),
+            # An explicit size wins over the rule, outside the bounds too.
+            (1, 7, 300, 7),
+            (2, 7, 300, 7),
+            (2, 1000, 300, 1000),
+        ],
+    )
+    def test_resolved_shard_size(self, workers, shard_size, shots, expected):
+        runner = SweepRunner(workers=workers, shard_size=shard_size)
+        assert runner.shard_size_for(shots) == expected
 
     def test_shard_seeds_window(self):
         shard = ShotShard(point_index=2, shard_index=1, start=32, shots=8, seed=4)
@@ -106,6 +130,16 @@ class TestSweepRunner:
         )
         assert [r.fidelities[0] for r in base] == [0, 1]
         assert [r.fidelities[0] for r in off] == [7, 8]
+
+    def test_map_shards_merges_automatic_units(self):
+        results = SweepRunner(workers=1).map_shards(
+            _shard_signature, [1, 2], shots=300, seed=0
+        )
+        assert [r.shots for r in results] == [300, 300]
+        assert np.array_equal(
+            results[1].fidelities,
+            np.r_[np.full(256, 2.0), np.full(44, 2.0 + 256 / 1000.0)],
+        )
 
     def test_map_shards_wrong_length_rejected(self):
         runner = SweepRunner(workers=1, shard_size=4)
