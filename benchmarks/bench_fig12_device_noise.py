@@ -38,14 +38,18 @@ def bench_fig12_device_study(run_once):
 
 def bench_fig12_swap_overhead_only(run_once):
     """Routing cost of the four configurations (the SWAP counts under the legend)."""
-    from repro.experiments.fig12 import route_configuration
+    from repro.experiments.common import resolve_seed
+    from repro.hardware.router import get_default_router
+    from repro.scenarios import compile_scenario
 
     def route_all():
-        counts = {}
-        for configuration in DEFAULT_CONFIGURATIONS:
-            _, routed = route_configuration(configuration)
-            counts[configuration.label] = routed.swap_count
-        return counts
+        router = get_default_router()
+        return {
+            configuration.label: compile_scenario(
+                configuration.scenario(router, FACTORS), resolve_seed()
+            ).extra_swaps
+            for configuration in DEFAULT_CONFIGURATIONS
+        }
 
     counts = run_once(route_all)
     emit(

@@ -6,11 +6,54 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.hardware.devices import DEVICES
+from repro.hardware.router import get_default_router
 from repro.qram.memory import ClassicalMemory
 
 #: Seed used by every experiment unless the caller overrides it, so that the
 #: numbers quoted in EXPERIMENTS.md are reproducible bit-for-bit.
 DEFAULT_SEED = 2023
+
+#: Device calibrations carrying the Z- and X-biased gate noise of Figs. 9-11.
+ERROR_CALIBRATIONS = {"Z": "phase-flip", "X": "bit-flip"}
+
+
+def gate_noise_point(
+    figure: str,
+    error: str,
+    m: int,
+    k: int = 0,
+    *,
+    architecture: str = "virtual",
+    reduction_factors: tuple[float, ...] = (1.0,),
+):
+    """The scenario spec of one Figs. 9-11 design under Z or X gate noise.
+
+    The logical circuit runs as built (``mapping="none"``) on the
+    ``error`` channel's calibration, so every gate operand errs with
+    probability ``1e-3 / eps_r`` in that one Pauli.  The router, unused
+    without a mapping, is pinned to the session default up front, as
+    :func:`~repro.scenarios.compile.compile_scenario` would pin it on
+    every call.
+    """
+    # Imported here: the scenario layer imports this module.
+    from repro.scenarios.spec import ScenarioSpec
+
+    return ScenarioSpec(
+        name=f"{figure}-{architecture}-{error}-m{m}-k{k}",
+        description=f"{figure} {architecture} QRAM under {error} gate noise",
+        architecture=architecture,
+        qram_width=m,
+        sqc_width=k,
+        router=get_default_router(),
+        device=ERROR_CALIBRATIONS[error],
+        error_reduction_factors=reduction_factors,
+    )
+
+
+def gate_error_rate(error: str, factor: float = 1.0) -> float:
+    """Per-gate error rate of the ``error`` channel at ``eps_r = factor``."""
+    return DEVICES[ERROR_CALIBRATIONS[error]].single_qubit_error / factor
 
 
 def experiment_rng(seed: int | None = None) -> np.random.Generator:

@@ -6,55 +6,35 @@ The left panel uses the phase-flip (Z) channel, the right panel the bit-flip
 (X) channel; the fidelity gap between the two panels -- much better behaviour
 under Z-biased noise -- is the paper's headline resilience claim, and curves
 for larger ``m`` require proportionally larger ``eps_r`` to saturate.
+
+Every ``(width, error, eps_r)`` triple is one scenario point on the
+``"phase-flip"`` or ``"bit-flip"`` calibration, run through
+:func:`repro.scenarios.run.sweep_points`; the records' ``epsilon`` is the
+calibration's rate divided by ``eps_r``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
 from repro.analysis.fidelity import qram_x_fidelity_bound, qram_z_fidelity_bound
-from repro.experiments.common import format_table, random_memory, resolve_seed
-from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.engine import get_default_engine
-from repro.sim.noise import GateNoiseModel, PauliChannel
-from repro.sweep import ShotShard, SweepRunner
+from repro.experiments.common import (
+    format_table,
+    gate_error_rate,
+    gate_noise_point,
+    resolve_seed,
+)
 
 DEFAULT_WIDTHS: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 DEFAULT_REDUCTION_FACTORS: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1000.0)
-DEFAULT_BASE_EPSILON = 1e-3
 DEFAULT_SHOTS = 1024
 
-ERROR_CHANNELS = {
-    "Z": PauliChannel.phase_flip,
-    "X": PauliChannel.bit_flip,
-}
-
-
-@lru_cache(maxsize=64)
-def _fig10_architecture(m: int, seed: int) -> VirtualQRAM:
-    """Process-local build cache: every (error, factor) point of a width
-    shares one compiled circuit, in workers and in the serial path alike."""
-    return VirtualQRAM(memory=random_memory(m, seed), qram_width=m)
-
-
-def _fig10_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
-    """Per-shard fidelities for one (error, width, reduction factor) point."""
-    error_name, m, epsilon, seed, engine = spec
-    architecture = _fig10_architecture(m, seed)
-    noise = GateNoiseModel(ERROR_CHANNELS[error_name](epsilon))
-    result = architecture.run_query(
-        noise, shard.shots, rng=shard.seeds(), engine=engine
-    )
-    return result.fidelities
+#: The report's panels, in order; a panel shows only if its channel ran.
+PANELS = (("Z", "left panel: phase flip"), ("X", "right panel: bit flip"))
 
 
 def run_fig10(
     widths: tuple[int, ...] = DEFAULT_WIDTHS,
     reduction_factors: tuple[float, ...] = DEFAULT_REDUCTION_FACTORS,
     *,
-    base_epsilon: float = DEFAULT_BASE_EPSILON,
     shots: int = DEFAULT_SHOTS,
     errors: tuple[str, ...] = ("Z", "X"),
     seed: int | None = None,
@@ -62,23 +42,30 @@ def run_fig10(
     shard_size: int | None = None,
 ) -> list[dict[str, object]]:
     """Fidelity records for every (error, width, reduction factor) triple."""
+    from repro.scenarios.run import sweep_points
+
     seed_value = resolve_seed(seed)
-    engine = get_default_engine()
-    points = [
+    grid = [
         (error_name, m, factor)
         for m in widths
         for error_name in errors
         for factor in reduction_factors
     ]
-    specs = [
-        (error_name, m, base_epsilon / factor, seed_value, engine)
-        for error_name, m, factor in points
+    points = [
+        (
+            gate_noise_point(
+                "fig10", error_name, m, reduction_factors=reduction_factors
+            ),
+            factor,
+        )
+        for error_name, m, factor in grid
     ]
-    runner = SweepRunner(workers=workers, shard_size=shard_size)
-    merged = runner.map_shards(_fig10_shard, specs, shots=shots, seed=seed_value)
+    merged = sweep_points(
+        points, shots=shots, seed=seed_value, workers=workers, shard_size=shard_size
+    )
     records: list[dict[str, object]] = []
-    for (error_name, m, factor), result in zip(points, merged):
-        epsilon = base_epsilon / factor
+    for (error_name, m, factor), result in zip(grid, merged):
+        epsilon = gate_error_rate(error_name, factor)
         bound = (
             qram_z_fidelity_bound(epsilon, m)
             if error_name == "Z"
@@ -104,22 +91,18 @@ def fig10_report(
     widths: tuple[int, ...] = DEFAULT_WIDTHS,
     reduction_factors: tuple[float, ...] = DEFAULT_REDUCTION_FACTORS,
     *,
-    base_epsilon: float = DEFAULT_BASE_EPSILON,
     shots: int = DEFAULT_SHOTS,
     seed: int | None = None,
     records: list[dict[str, object]] | None = None,
 ) -> str:
-    """Human-readable Figure 10 series (one table per error channel)."""
+    """Human-readable Figure 10 series (one table per error channel run)."""
     if records is None:
-        records = run_fig10(
-            widths,
-            reduction_factors,
-            base_epsilon=base_epsilon,
-            shots=shots,
-            seed=seed,
-        )
+        records = run_fig10(widths, reduction_factors, shots=shots, seed=seed)
+    present = {r["error"] for r in records}
     lines = []
-    for error_name, panel in (("Z", "left panel: phase flip"), ("X", "right panel: bit flip")):
+    for error_name, panel in PANELS:
+        if error_name not in present:
+            continue
         lines.append(f"Figure 10 reproduction ({panel})")
         headers = ["eps_r"] + [f"m={m}" for m in widths]
         rows = []

@@ -7,48 +7,26 @@ factors ``eps_r`` in {1, 10, 100}; the shape to reproduce is that the fidelity
 decays *exponentially faster in k* than in m -- paging through the SQC is far
 more damaging than growing the router tree, which is the argument for making
 the physical QRAM as large as the hardware allows.
+
+Every ``(m, k, error, eps_r)`` point is one scenario point on the
+``"phase-flip"`` or ``"bit-flip"`` calibration, run through
+:func:`repro.scenarios.run.sweep_points`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
 from repro.analysis.fidelity import virtual_x_fidelity_bound, virtual_z_fidelity_bound
-from repro.experiments.common import format_table, random_memory, resolve_seed
-from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.engine import get_default_engine
-from repro.sim.noise import GateNoiseModel, PauliChannel
-from repro.sweep import ShotShard, SweepRunner
+from repro.experiments.common import (
+    format_table,
+    gate_error_rate,
+    gate_noise_point,
+    resolve_seed,
+)
 
 DEFAULT_QRAM_WIDTHS: tuple[int, ...] = (1, 2, 3, 4)
 DEFAULT_SQC_WIDTHS: tuple[int, ...] = (0, 1, 2, 3)
 DEFAULT_REDUCTION_FACTORS: tuple[float, ...] = (1.0, 10.0, 100.0)
-DEFAULT_BASE_EPSILON = 1e-3
 DEFAULT_SHOTS = 512
-
-ERROR_CHANNELS = {
-    "Z": PauliChannel.phase_flip,
-    "X": PauliChannel.bit_flip,
-}
-
-
-@lru_cache(maxsize=64)
-def _fig11_architecture(m: int, k: int, seed: int) -> VirtualQRAM:
-    """Process-local build cache keyed on the (m, k) design point."""
-    return VirtualQRAM(memory=random_memory(m + k, seed), qram_width=m)
-
-
-def _fig11_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
-    """Per-shard fidelities for one (m, k, error, factor) sweep point."""
-    m, k, error_name, epsilon, seed, engine = spec
-    architecture = _fig11_architecture(m, k, seed)
-    noise = GateNoiseModel(ERROR_CHANNELS[error_name](epsilon))
-    result = architecture.run_query(
-        noise, shard.shots, rng=shard.seeds(), engine=engine
-    )
-    return result.fidelities
 
 
 def run_fig11(
@@ -56,7 +34,6 @@ def run_fig11(
     sqc_widths: tuple[int, ...] = DEFAULT_SQC_WIDTHS,
     reduction_factors: tuple[float, ...] = DEFAULT_REDUCTION_FACTORS,
     *,
-    base_epsilon: float = DEFAULT_BASE_EPSILON,
     shots: int = DEFAULT_SHOTS,
     errors: tuple[str, ...] = ("Z", "X"),
     seed: int | None = None,
@@ -64,24 +41,31 @@ def run_fig11(
     shard_size: int | None = None,
 ) -> list[dict[str, object]]:
     """Fidelity records over the (m, k) plane for each error channel and eps_r."""
+    from repro.scenarios.run import sweep_points
+
     seed_value = resolve_seed(seed)
-    engine = get_default_engine()
-    points = [
+    grid = [
         (m, k, error_name, factor)
         for m in qram_widths
         for k in sqc_widths
         for error_name in errors
         for factor in reduction_factors
     ]
-    specs = [
-        (m, k, error_name, base_epsilon / factor, seed_value, engine)
-        for m, k, error_name, factor in points
+    points = [
+        (
+            gate_noise_point(
+                "fig11", error_name, m, k, reduction_factors=reduction_factors
+            ),
+            factor,
+        )
+        for m, k, error_name, factor in grid
     ]
-    runner = SweepRunner(workers=workers, shard_size=shard_size)
-    merged = runner.map_shards(_fig11_shard, specs, shots=shots, seed=seed_value)
+    merged = sweep_points(
+        points, shots=shots, seed=seed_value, workers=workers, shard_size=shard_size
+    )
     records: list[dict[str, object]] = []
-    for (m, k, error_name, factor), result in zip(points, merged):
-        epsilon = base_epsilon / factor
+    for (m, k, error_name, factor), result in zip(grid, merged):
+        epsilon = gate_error_rate(error_name, factor)
         bound = (
             virtual_z_fidelity_bound(epsilon, m, k)
             if error_name == "Z"
@@ -112,13 +96,16 @@ def fig11_report(
     seed: int | None = None,
     records: list[dict[str, object]] | None = None,
 ) -> str:
-    """Human-readable Figure 11 grids (one per error channel and eps_r)."""
+    """Human-readable Figure 11 grids (one per error channel run and eps_r)."""
     if records is None:
         records = run_fig11(
             qram_widths, sqc_widths, reduction_factors, shots=shots, seed=seed
         )
+    present = {r["error"] for r in records}
     lines = []
     for error_name in ("Z", "X"):
+        if error_name not in present:
+            continue
         for factor in reduction_factors:
             lines.append(
                 f"Figure 11 reproduction ({error_name} error, eps_r={factor:g})"

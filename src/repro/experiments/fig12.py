@@ -12,23 +12,20 @@ scaled by an error-reduction factor ``eps_r``.  The observations to reproduce:
 * at ``eps_r = 1000`` (error rates ~1e-5, e.g. via small-distance error
   correction) the query fidelity exceeds 0.98;
 * larger configurations need more SWAPs and correspondingly better hardware.
+
+Each configuration is a ``mapping="device"`` scenario spec with the router
+resolved; every ``(configuration, eps_r)`` pair is one point of
+:func:`repro.scenarios.run.sweep_points`, and the SWAP counts come from the
+same compile (:func:`repro.scenarios.compile.compile_scenario`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
-
-from repro.experiments.common import format_table, random_memory, resolve_seed
-from repro.hardware.devices import DEVICES, DeviceModel
-from repro.hardware.noise_model import device_noise_model
-from repro.hardware.router import get_default_router, make_router
-from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.engine import get_default_engine
-from repro.sim.feynman import FeynmanPathSimulator
-from repro.sweep import ShotShard, SweepRunner
+from repro.experiments.common import format_table, resolve_seed
+from repro.hardware.devices import DEVICES
+from repro.hardware.router import get_default_router
 
 DEFAULT_REDUCTION_FACTORS: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_SHOTS = 200
@@ -47,6 +44,27 @@ class HardwareConfiguration:
         """Human-readable configuration label used in the report."""
         return f"m={self.m},k={self.k}"
 
+    @property
+    def device_label(self) -> str:
+        """The backend name the records carry in their ``device`` field."""
+        return DEVICES[self.device_name].name
+
+    def scenario(self, router: str, reduction_factors: tuple[float, ...]):
+        """This configuration as a device-routed virtual-QRAM scenario spec."""
+        # Imported here: the scenario layer imports repro.experiments.common.
+        from repro.scenarios.spec import ScenarioSpec
+
+        return ScenarioSpec(
+            name=f"fig12-{self.device_name}-m{self.m}-k{self.k}",
+            description=f"Figure 12 {self.label} on {self.device_name}",
+            qram_width=self.m,
+            sqc_width=self.k,
+            mapping="device",
+            router=router,
+            device=self.device_name,
+            error_reduction_factors=reduction_factors,
+        )
+
 
 DEFAULT_CONFIGURATIONS: tuple[HardwareConfiguration, ...] = (
     HardwareConfiguration(m=1, k=0, device_name="ibm_perth"),
@@ -54,69 +72,6 @@ DEFAULT_CONFIGURATIONS: tuple[HardwareConfiguration, ...] = (
     HardwareConfiguration(m=2, k=0, device_name="ibmq_guadalupe"),
     HardwareConfiguration(m=2, k=1, device_name="ibmq_guadalupe"),
 )
-
-
-def route_configuration(
-    configuration: HardwareConfiguration,
-    *,
-    seed: int | None = None,
-    router: str | None = None,
-):
-    """Build and route one configuration; returns (architecture, routed circuit).
-
-    ``router`` resolves through the pluggable registry
-    (:func:`repro.hardware.router.make_router`); ``None`` uses the session
-    default, so ``python -m repro.experiments --router`` reaches the Figure 12
-    hardware study exactly like every other routed experiment.
-    """
-    device: DeviceModel = DEVICES[configuration.device_name]
-    memory = random_memory(configuration.m + configuration.k, seed)
-    architecture = VirtualQRAM(memory=memory, qram_width=configuration.m)
-    routed = make_router(router, device).route(architecture.build_circuit())
-    return architecture, routed
-
-
-@lru_cache(maxsize=16)
-def _fig12_bundle(configuration: HardwareConfiguration, seed: int, router: str):
-    """Route one configuration and precompute everything the shards share.
-
-    Returns ``(routed, physical_input, physical_ideal, keep_qubits)``.
-    Routing plus state mapping dominates the small fig12 workloads, so the
-    bundle is cached per process: every (configuration, eps_r, router) shard
-    that lands on a worker reuses its build.  The router name is part of the
-    key (and of the shard spec -- worker processes do not inherit the
-    session's default-router setting).
-    """
-    architecture, routed = route_configuration(
-        configuration, seed=seed, router=router
-    )
-    logical_input = architecture.input_state()
-    physical_input = routed.map_state(logical_input, final=False)
-    physical_ideal = routed.map_state(
-        architecture.ideal_output(logical_input), final=True
-    )
-    keep = routed.physical_qubits(architecture.kept_qubits(), final=True)
-    return routed, physical_input, physical_ideal, keep
-
-
-def _fig12_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
-    """Per-shard fidelities for one (configuration, eps_r) sweep point."""
-    configuration, factor, seed, engine, router = spec
-    routed, physical_input, physical_ideal, keep = _fig12_bundle(
-        configuration, seed, router
-    )
-    device = DEVICES[configuration.device_name]
-    noise = device_noise_model(device, error_reduction_factor=factor)
-    result = FeynmanPathSimulator(engine=engine).query_fidelities(
-        routed.circuit,
-        physical_input,
-        noise,
-        shard.shots,
-        keep_qubits=keep,
-        ideal_output=physical_ideal,
-        rng=shard.seeds(),
-    )
-    return result.fidelities
 
 
 def run_fig12(
@@ -128,39 +83,42 @@ def run_fig12(
     workers: int | None = None,
     shard_size: int | None = None,
 ) -> list[dict[str, object]]:
-    """Fidelity records for every (configuration, eps_r) pair, plus SWAP counts."""
+    """Fidelity records for every (configuration, eps_r) pair, plus SWAP counts.
+
+    The router is the session default (:func:`get_default_router`, the CLI
+    ``--router`` override), resolved here so pool workers route alike.
+    """
+    from repro.scenarios.compile import compile_scenario
+    from repro.scenarios.run import sweep_points
+
     seed_value = resolve_seed(seed)
-    engine = get_default_engine()
     router = get_default_router()
-    points = [
-        (configuration, factor)
+    grid = [
+        (configuration, configuration.scenario(router, reduction_factors), factor)
         for configuration in configurations
         for factor in reduction_factors
     ]
-    specs = [
-        (configuration, factor, seed_value, engine, router)
-        for configuration, factor in points
+    merged = sweep_points(
+        [(spec, factor) for _, spec, factor in grid],
+        shots=shots,
+        seed=seed_value,
+        workers=workers,
+        shard_size=shard_size,
+    )
+    return [
+        {
+            "configuration": configuration.label,
+            "m": configuration.m,
+            "k": configuration.k,
+            "device": configuration.device_label,
+            "extra_swaps": compile_scenario(spec, seed_value).extra_swaps,
+            "error_reduction_factor": factor,
+            "shots": shots,
+            "fidelity": result.mean_fidelity,
+            "std_error": result.std_error,
+        }
+        for (configuration, spec, factor), result in zip(grid, merged)
     ]
-    runner = SweepRunner(workers=workers, shard_size=shard_size)
-    merged = runner.map_shards(_fig12_shard, specs, shots=shots, seed=seed_value)
-    records: list[dict[str, object]] = []
-    for (configuration, factor), result in zip(points, merged):
-        routed, _, _, _ = _fig12_bundle(configuration, seed_value, router)
-        device = DEVICES[configuration.device_name]
-        records.append(
-            {
-                "configuration": configuration.label,
-                "m": configuration.m,
-                "k": configuration.k,
-                "device": device.name,
-                "extra_swaps": routed.swap_count,
-                "error_reduction_factor": factor,
-                "shots": shots,
-                "fidelity": result.mean_fidelity,
-                "std_error": result.std_error,
-            }
-        )
-    return records
 
 
 def fig12_report(
@@ -171,27 +129,36 @@ def fig12_report(
     seed: int | None = None,
     records: list[dict[str, object]] | None = None,
 ) -> str:
-    """Human-readable Figure 12 series."""
+    """Human-readable Figure 12 series (one column per configuration).
+
+    Columns are keyed on the whole configuration, so two configurations
+    sharing ``(m, k)`` on different devices keep their own SWAP counts and
+    fidelities; their headers then also name the device.
+    """
     if records is None:
         records = run_fig12(
             configurations, reduction_factors, shots=shots, seed=seed
         )
-    labels = [configuration.label for configuration in configurations]
-    swaps = {
-        record["configuration"]: record["extra_swaps"] for record in records
+    by_point = {
+        (r["m"], r["k"], r["device"], r["error_reduction_factor"]): r
+        for r in records
     }
-    headers = ["eps_r"] + [f"{label} (SWAP={swaps[label]})" for label in labels]
-    rows = []
-    for factor in reduction_factors:
-        row: list[object] = [factor]
-        for label in labels:
-            entry = next(
-                r
-                for r in records
-                if r["configuration"] == label
-                and r["error_reduction_factor"] == factor
-            )
-            row.append(entry["fidelity"])
-        rows.append(row)
+
+    def entry(configuration: HardwareConfiguration, factor: float) -> dict:
+        key = (configuration.m, configuration.k, configuration.device_label)
+        return by_point[key + (factor,)]
+
+    labels = [configuration.label for configuration in configurations]
+    headers = ["eps_r"]
+    for configuration in configurations:
+        label = configuration.label
+        if labels.count(label) > 1:
+            label += f",{configuration.device_name}"
+        swaps = entry(configuration, reduction_factors[0])["extra_swaps"]
+        headers.append(f"{label} (SWAP={swaps})")
+    rows = [
+        [factor] + [entry(c, factor)["fidelity"] for c in configurations]
+        for factor in reduction_factors
+    ]
     title = f"Figure 12 reproduction (device noise, shots={shots})"
     return title + "\n" + format_table(headers, rows)

@@ -9,64 +9,35 @@ reduced fidelity over the address and bus registers.  The shapes to reproduce:
   size) under X (bit-flip) errors, while the bucket-brigade stays polynomial;
 * Select-Swap has no resilience under either channel.
 
-The sweep runs through :class:`~repro.sweep.SweepRunner`: every
-``(architecture, error, width)`` triple is one sweep point whose shot loop is
-split into deterministic seed-keyed shards, so ``workers``/``shard_size``
+Every ``(width, architecture, error)`` triple is one scenario point at
+``eps_r = 1`` on the ``"phase-flip"`` or ``"bit-flip"`` calibration, run
+through :func:`repro.scenarios.run.sweep_points`; ``workers``/``shard_size``
 change wall-clock time but never the records.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
-from repro.experiments.common import format_table, random_memory, resolve_seed
-from repro.qram.base import QRAMArchitecture
-from repro.qram.bucket_brigade import BucketBrigadeQRAM
-from repro.qram.select_swap import SelectSwapQRAM
-from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.engine import get_default_engine
-from repro.sim.noise import GateNoiseModel, PauliChannel
-from repro.sweep import ShotShard, SweepRunner
+from repro.experiments.common import (
+    format_table,
+    gate_error_rate,
+    gate_noise_point,
+    resolve_seed,
+)
 
 DEFAULT_WIDTHS: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-DEFAULT_EPSILON = 1e-3
 DEFAULT_SHOTS = 1024
 
-ARCHITECTURE_BUILDERS = {
-    "ours": VirtualQRAM,
-    "bb": BucketBrigadeQRAM,
-    "ss": SelectSwapQRAM,
+#: The figure's series labels and the scenario architectures they run.
+SCENARIO_ARCHITECTURES = {
+    "ours": "virtual",
+    "bb": "bucket-brigade",
+    "ss": "select-swap",
 }
-
-ERROR_CHANNELS = {
-    "Z": PauliChannel.phase_flip,
-    "X": PauliChannel.bit_flip,
-}
-
-
-@lru_cache(maxsize=64)
-def _fig9_architecture(name: str, m: int, seed: int) -> QRAMArchitecture:
-    """Process-local architecture cache: shards of a point share one build."""
-    return ARCHITECTURE_BUILDERS[name](memory=random_memory(m, seed), qram_width=m)
-
-
-def _fig9_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
-    """Per-shard fidelities for one (architecture, error, width) sweep point."""
-    name, error_name, m, epsilon, seed, engine = spec
-    architecture = _fig9_architecture(name, m, seed)
-    noise = GateNoiseModel(ERROR_CHANNELS[error_name](epsilon))
-    result = architecture.run_query(
-        noise, shard.shots, rng=shard.seeds(), engine=engine
-    )
-    return result.fidelities
 
 
 def run_fig9(
     widths: tuple[int, ...] = DEFAULT_WIDTHS,
     *,
-    epsilon: float = DEFAULT_EPSILON,
     shots: int = DEFAULT_SHOTS,
     architectures: tuple[str, ...] = ("ours", "bb", "ss"),
     errors: tuple[str, ...] = ("Z", "X"),
@@ -75,43 +46,51 @@ def run_fig9(
     shard_size: int | None = None,
 ) -> list[dict[str, object]]:
     """Fidelity records for every (architecture, error channel, width) triple."""
+    from repro.scenarios.run import sweep_points
+
     seed_value = resolve_seed(seed)
-    engine = get_default_engine()
-    specs = [
-        (name, error_name, m, epsilon, seed_value, engine)
+    grid = [
+        (name, error_name, m)
         for m in widths
         for name in architectures
         for error_name in errors
     ]
-    runner = SweepRunner(workers=workers, shard_size=shard_size)
-    merged = runner.map_shards(_fig9_shard, specs, shots=shots, seed=seed_value)
-    records: list[dict[str, object]] = []
-    for (name, error_name, m, point_epsilon, _, _), result in zip(specs, merged):
-        records.append(
-            {
-                "architecture": name,
-                "error": error_name,
-                "m": m,
-                "epsilon": point_epsilon,
-                "shots": shots,
-                "fidelity": result.mean_fidelity,
-                "std_error": result.std_error,
-            }
+    points = [
+        (
+            gate_noise_point(
+                "fig9", error_name, m, architecture=SCENARIO_ARCHITECTURES[name]
+            ),
+            1.0,
         )
-    return records
+        for name, error_name, m in grid
+    ]
+    merged = sweep_points(
+        points, shots=shots, seed=seed_value, workers=workers, shard_size=shard_size
+    )
+    return [
+        {
+            "architecture": name,
+            "error": error_name,
+            "m": m,
+            "epsilon": gate_error_rate(error_name),
+            "shots": shots,
+            "fidelity": result.mean_fidelity,
+            "std_error": result.std_error,
+        }
+        for (name, error_name, m), result in zip(grid, merged)
+    ]
 
 
 def fig9_report(
     widths: tuple[int, ...] = DEFAULT_WIDTHS,
     *,
-    epsilon: float = DEFAULT_EPSILON,
     shots: int = DEFAULT_SHOTS,
     seed: int | None = None,
     records: list[dict[str, object]] | None = None,
 ) -> str:
     """Human-readable Figure 9 series (one column per architecture/error pair)."""
     if records is None:
-        records = run_fig9(widths, epsilon=epsilon, shots=shots, seed=seed)
+        records = run_fig9(widths, shots=shots, seed=seed)
     series = sorted({(r["architecture"], r["error"]) for r in records})
     headers = ["m"] + [f"{arch}-{err}" for arch, err in series]
     rows = []
@@ -126,6 +105,7 @@ def fig9_report(
             row.append(entry["fidelity"])
         rows.append(row)
     title = (
-        f"Figure 9 reproduction (fidelity vs QRAM width, eps={epsilon}, shots={shots})"
+        f"Figure 9 reproduction (fidelity vs QRAM width, "
+        f"eps={gate_error_rate('Z')}, shots={shots})"
     )
     return title + "\n" + format_table(headers, rows)

@@ -4,7 +4,9 @@ Only the devices' *topologies* and the order of magnitude of their error
 rates matter for Figure 12 (the figure sweeps an error-reduction factor on
 top of them), so each device is described by its public coupling map plus
 representative calibration numbers at the ~1e-3 error scale the paper assumes
-for "current hardware".
+for "current hardware".  The registry also holds calibration-only entries:
+an erasure-biased dual-rail calibration and the ``"phase-flip"`` /
+``"bit-flip"`` gate-noise calibrations that Figures 9-11 run on.
 """
 
 from __future__ import annotations
@@ -176,9 +178,37 @@ def dual_rail_cavity_like() -> DeviceModel:
     )
 
 
-#: Registry of named devices used by the Figure 12 experiment.
+def pauli_gate_calibration(
+    name: str, pauli_bias: tuple[float, float, float]
+) -> DeviceModel:
+    """Uniform single-Pauli gate noise at the Sec. 7.3 rate ``eps = 1e-3``.
+
+    Every gate operand, one- or multi-qubit, errs with the same probability
+    and only in the Pauli that ``pauli_bias`` selects, so
+    :func:`~repro.hardware.noise_model.device_noise_model` yields exactly
+    ``PauliChannel.phase_flip(1e-3 / eps_r)`` (bias ``(0, 0, 1)``) or
+    ``PauliChannel.bit_flip(1e-3 / eps_r)`` (bias ``(1, 0, 0)``) -- the
+    channels of Figures 9-11.  Idle and readout errors are zero: these are
+    pure gate-noise calibrations, and the single qubit carries no topology.
+    """
+    return DeviceModel(
+        name=name,
+        num_qubits=1,
+        coupling_map=(),
+        single_qubit_error=1e-3,
+        two_qubit_error=1e-3,
+        readout_error=0.0,
+        idle_error=0.0,
+        pauli_bias=pauli_bias,
+    )
+
+
+#: Registry of named devices: the Figure 12 backends, the erasure-qubit
+#: calibration and the Z/X gate-noise calibrations of Figures 9-11.
 DEVICES: dict[str, DeviceModel] = {
     "ibm_perth": ibm_perth_like(),
     "ibmq_guadalupe": ibmq_guadalupe_like(),
     "dual-rail-cavity": dual_rail_cavity_like(),
+    "phase-flip": pauli_gate_calibration("phase-flip", (0.0, 0.0, 1.0)),
+    "bit-flip": pauli_gate_calibration("bit-flip", (1.0, 0.0, 0.0)),
 }

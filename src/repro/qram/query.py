@@ -1,25 +1,25 @@
 """High-level query helpers and the architecture registry.
 
-The experiment runners and benchmarks refer to architectures by the short
-names used in the paper's figures ("virtual", "sqc_bb", "sqc_ss", "fanout",
-"sqc"); :func:`make_architecture` resolves a name plus parameters into a
-concrete builder.  :func:`run_query_experiment` bundles the common pattern
-"build circuit, prepare uniform input, Monte-Carlo noise, report mean
-fidelity" shared by Figures 9-12, and :class:`MultiBitQuery` extends single-bit
-queries to the multi-bit data widths discussed in Sec. 8 by querying one bit
-plane at a time.
+Benchmarks and tests refer to architectures by short names ("virtual",
+"sqc_bb", "sqc_ss", "fanout", "sqc"); :func:`make_architecture` resolves a
+name plus parameters into a concrete builder.  :class:`MultiBitQuery`
+extends single-bit queries to the multi-bit data widths discussed in Sec. 8
+by querying one bit plane at a time.
 
-Both helpers run their Monte-Carlo shot loops through
-:class:`~repro.sweep.SweepRunner`: shots are split into deterministic
-seed-keyed shards that can execute across worker processes, with merged
-fidelities bit-identical for any worker count or shard size.
+The paper's Monte-Carlo figures (Figs. 9-12) do not run through this
+module: they are grids of scenario points executed by
+:func:`repro.scenarios.run.sweep_points`.  :meth:`MultiBitQuery.run_noisy_planes`
+runs its shot loops through :class:`~repro.sweep.SweepRunner` too: shots
+are split into deterministic seed-keyed shards that can execute across
+worker processes, with merged fidelities bit-identical for any worker count
+or shard size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Type
+from typing import Type
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.qram.memory import ClassicalMemory
 from repro.qram.select_swap import SelectSwapQRAM
 from repro.qram.sqc import SequentialQueryCircuit
 from repro.qram.virtual_qram import VirtualQRAM, VirtualQRAMOptions
+from repro.sim.feynman import QueryResult
 from repro.sim.noise import NoiseModel
 from repro.sweep import ShotShard, SweepRunner
 
@@ -66,88 +67,6 @@ def make_architecture(
         return cls(memory=memory, qram_width=0, **kwargs)
     width = memory.address_width if qram_width is None else qram_width
     return cls(memory=memory, qram_width=width, **kwargs)
-
-
-@dataclass(frozen=True)
-class QueryExperimentResult:
-    """Summary statistics of one Monte-Carlo query-fidelity experiment."""
-
-    architecture: str
-    m: int
-    k: int
-    shots: int
-    mean_fidelity: float
-    std_error: float
-
-    def as_dict(self) -> dict:
-        """Plain-dict form of the query record."""
-        return {
-            "architecture": self.architecture,
-            "m": self.m,
-            "k": self.k,
-            "shots": self.shots,
-            "mean_fidelity": self.mean_fidelity,
-            "std_error": self.std_error,
-        }
-
-
-def _experiment_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
-    """Shard worker for :func:`run_query_experiment` (module-level: picklable)."""
-    architecture, noise, amplitudes, reduced, engine = spec
-    input_state = None if amplitudes is None else architecture.input_state(amplitudes)
-    result = architecture.run_query(
-        noise,
-        shard.shots,
-        input_state=input_state,
-        reduced=reduced,
-        rng=shard.seeds(),
-        engine=engine,
-    )
-    return result.fidelities
-
-
-def run_query_experiment(
-    architecture: QRAMArchitecture,
-    noise: NoiseModel | None,
-    shots: int,
-    *,
-    amplitudes: Mapping[int, complex] | None = None,
-    reduced: bool = True,
-    engine: str | None = None,
-    runner: SweepRunner | None = None,
-    seed: int = 0,
-    point_index: int = 0,
-) -> QueryExperimentResult:
-    """Run one noisy-query experiment and summarise it (Figures 9-12 pattern).
-
-    ``engine`` selects the execution engine (see :mod:`repro.sim.engine`);
-    ``None`` uses the session default.  With the default uniform input the
-    architecture's memoized :meth:`~repro.qram.base.QRAMArchitecture.compiled_query`
-    bundle is reused, so repeated sweep points skip circuit construction.
-
-    The shot loop is decomposed into deterministic seed-keyed shards
-    executed by ``runner`` (a serial :class:`~repro.sweep.SweepRunner` by
-    default): per-shot streams derive from ``(seed, point_index,
-    shot_index)``, so the summary is bit-identical for any worker count or
-    shard size.
-    """
-    runner = SweepRunner(workers=1) if runner is None else runner
-    spec = (architecture, noise, amplitudes, reduced, engine)
-    result = runner.map_shards(
-        _experiment_shard,
-        [spec],
-        shots=shots,
-        seed=seed,
-        point_offset=point_index,
-    )[0]
-    return QueryExperimentResult(
-        architecture=architecture.name,
-        m=architecture.m,
-        k=architecture.k,
-        shots=shots,
-        mean_fidelity=result.mean_fidelity,
-        std_error=result.std_error,
-    )
 
 
 @lru_cache(maxsize=64)
@@ -226,36 +145,22 @@ class MultiBitQuery:
         reduced: bool = True,
         runner: SweepRunner | None = None,
         seed: int = 0,
-    ) -> list[QueryExperimentResult]:
-        """Noisy-query summary per bit plane, sharded across the runner.
+    ) -> list[QueryResult]:
+        """Noisy-query shot fidelities per bit plane, sharded across the runner.
 
-        Each plane is one sweep point; its shot loop is split into
-        deterministic seed-keyed shards (see :mod:`repro.sweep`), so the
-        per-plane summaries are bit-identical for any worker count or shard
-        size.  ``runner`` defaults to a serial :class:`~repro.sweep.SweepRunner`.
+        Each plane is one sweep point (its index is the plane); its shot loop
+        is split into deterministic seed-keyed shards (see
+        :mod:`repro.sweep`), so the per-plane results are bit-identical for
+        any worker count or shard size.  ``runner`` defaults to a serial
+        :class:`~repro.sweep.SweepRunner`.
         """
         runner = SweepRunner(workers=1) if runner is None else runner
-        spec = (self, noise, reduced)
-        merged = runner.map_shards(
+        return runner.map_shards(
             _plane_shard,
-            [spec] * self.memory.data_width,
+            [(self, noise, reduced)] * self.memory.data_width,
             shots=shots,
             seed=seed,
         )
-        summaries = []
-        for plane, result in enumerate(merged):
-            architecture = self.plane_architecture(plane)
-            summaries.append(
-                QueryExperimentResult(
-                    architecture=architecture.name,
-                    m=architecture.m,
-                    k=architecture.k,
-                    shots=shots,
-                    mean_fidelity=result.mean_fidelity,
-                    std_error=result.std_error,
-                )
-            )
-        return summaries
 
     def classical_readout(self, address: int) -> int:
         """The value a noiseless multi-bit query returns for ``address``.

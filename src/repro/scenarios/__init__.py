@@ -17,7 +17,12 @@ registers the built-in scenarios of :mod:`~repro.scenarios.builtin`;
 from repro.scenarios.builtin import BUILTIN_SCENARIOS
 from repro.scenarios.compile import CompiledScenario, compile_scenario
 from repro.scenarios.record import RECORD_SCHEMA_VERSION, ScenarioRecord
-from repro.scenarios.run import resolve_run, run_scenario, scenario_report
+from repro.scenarios.run import (
+    resolve_run,
+    run_scenario,
+    scenario_report,
+    sweep_points,
+)
 from repro.scenarios.spec import (
     ScenarioSpec,
     available_scenarios,
@@ -40,4 +45,5 @@ __all__ = [
     "resolve_run",
     "run_scenario",
     "scenario_report",
+    "sweep_points",
 ]

@@ -61,8 +61,8 @@ Mapping strategies
     :class:`repro.circuit.ir.BranchBudgetError` at compile time.
 
 ``device``
-    Route onto a named sparse backend -- the Figure 12 methodology, now
-    composable with idle noise and sweeps.
+    Route onto a named sparse backend -- the Figure 12 methodology, which
+    :func:`repro.experiments.run_fig12` runs through this path.
 
 Both swap-routed mappings resolve their router through the registry of
 :mod:`repro.hardware.router` (``spec.router``, or the session default when
@@ -91,6 +91,7 @@ from repro.mapping.teleport import expand_teleport_links
 from repro.qram.base import QRAMArchitecture
 from repro.qram.bucket_brigade import BucketBrigadeQRAM
 from repro.qram.fanout import FanoutQRAM
+from repro.qram.select_swap import SelectSwapQRAM
 from repro.qram.virtual_qram import VirtualQRAM
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.noise import NoiseModel, PauliChannel, ScheduledNoiseModel
@@ -100,6 +101,7 @@ _ARCHITECTURE_CLASSES = {
     "virtual": VirtualQRAM,
     "bucket-brigade": BucketBrigadeQRAM,
     "fanout": FanoutQRAM,
+    "select-swap": SelectSwapQRAM,
 }
 
 #: Calibration used when a scenario names no device: the representative
@@ -261,8 +263,7 @@ def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
     default changes (and ``CompiledScenario.spec.router`` always names the
     router that actually ran).  The cache is what lets every
     ``(sweep point, shot shard)`` work unit landing on a pool worker reuse
-    the routed circuit and precomputed states, mirroring the Figure 12
-    bundle pattern.
+    the routed circuit and precomputed states.
     """
     if spec.router is None:
         spec = replace(spec, router=get_default_router())

@@ -1,11 +1,12 @@
 """Execute compiled scenarios through the sharded sweep runner.
 
 One scenario run is a Monte-Carlo sweep over the spec's error-reduction
-grid: each ``(eps_r, shot shard)`` work unit routes through
-:class:`repro.sweep.SweepRunner`, draws its Pauli codes from the shard's
-:class:`~repro.sim.seeding.ShotSeeds` window and returns per-shot
-fidelities, so merged records are bit-identical for any worker count and
-shard size -- the same contract every figure sweep honours.  The worker
+grid: :func:`sweep_points` sends each ``(spec, eps_r, shot shard)`` work
+unit through :class:`repro.sweep.SweepRunner`, draws its Pauli codes from
+the shard's :class:`~repro.sim.seeding.ShotSeeds` window and returns
+per-shot fidelities, so merged records are bit-identical for any worker
+count and shard size.  The paper's Monte-Carlo figures (Figs. 9-12) are
+grids of such points and run through the same function.  The worker
 rebuilds the (process-cached) compiled scenario from the pickled spec, so
 pools work under both ``fork`` and ``spawn`` start methods for registered
 and ad-hoc specs alike.
@@ -23,7 +24,7 @@ bit-identical to the fresh run it replaces.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from repro.scenarios.compile import CompiledScenario, compile_scenario
 from repro.scenarios.record import ScenarioRecord
 from repro.scenarios.spec import ScenarioSpec, get_scenario
 from repro.sim.engine import get_default_engine
-from repro.sim.feynman import FeynmanPathSimulator
+from repro.sim.feynman import FeynmanPathSimulator, QueryResult
 from repro.sweep import ShotShard, SweepRunner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,6 +63,30 @@ def _scenario_shard(spec_bundle: tuple, shard: ShotShard) -> np.ndarray:
     if survival != 1.0:
         return result.fidelities * survival
     return result.fidelities
+
+
+def sweep_points(
+    points: Sequence[tuple[ScenarioSpec, float]],
+    *,
+    shots: int,
+    seed: int,
+    engine: str | None = None,
+    workers: int | None = None,
+    shard_size: int | None = None,
+) -> list[QueryResult]:
+    """Run ``(spec, eps_r)`` sweep points as one sharded sweep.
+
+    Every point gets ``shots`` shots; its streams are keyed on
+    ``(seed, position in points, shot)``, so the merged per-point results
+    are bit-identical for any ``workers`` and ``shard_size``, and a caller
+    that keeps its grid order keeps its numbers.  ``engine`` defaults to
+    the session default.  Scenario runs and the paper's Monte-Carlo figures
+    (Figs. 9-12) both execute here.
+    """
+    engine_name = get_default_engine() if engine is None else engine
+    bundles = [(spec, factor, seed, engine_name) for spec, factor in points]
+    runner = SweepRunner(workers=workers, shard_size=shard_size)
+    return runner.map_shards(_scenario_shard, bundles, shots=shots, seed=seed)
 
 
 def _point_record(
@@ -176,13 +201,13 @@ def run_scenario(
         cached = store.get(fingerprint)
         if cached is not None:
             return cached
-    bundles = [
-        (spec, factor, seed_value, engine_name)
-        for factor in spec.error_reduction_factors
-    ]
-    runner = SweepRunner(workers=workers, shard_size=shard_size)
-    merged = runner.map_shards(
-        _scenario_shard, bundles, shots=shot_count, seed=seed_value
+    merged = sweep_points(
+        [(spec, factor) for factor in spec.error_reduction_factors],
+        shots=shot_count,
+        seed=seed_value,
+        engine=engine_name,
+        workers=workers,
+        shard_size=shard_size,
     )
     compiled = compile_scenario(spec, seed_value)
     records = [

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-ARCHITECTURES: tuple[str, ...] = ("virtual", "bucket-brigade", "fanout")
+ARCHITECTURES: tuple[str, ...] = ("virtual", "bucket-brigade", "fanout", "select-swap")
 MAPPINGS: tuple[str, ...] = ("none", "htree", "device", "dual-rail")
 ROUTINGS: tuple[str, ...] = (
     "swap",
@@ -34,7 +34,8 @@ class ScenarioSpec:
         Registry key and the one-line summary ``--list`` prints.
     architecture:
         QRAM construction: ``"virtual"`` (the paper's proposal),
-        ``"bucket-brigade"`` or ``"fanout"`` (the baselines).
+        ``"bucket-brigade"``, ``"fanout"`` or ``"select-swap"`` (the
+        baselines; Figure 9 compares the first, second and fourth).
     qram_width / sqc_width:
         The paper's ``m`` and ``k``; the memory holds ``2**(m + k)`` cells.
     mapping:
@@ -72,7 +73,11 @@ class ScenarioSpec:
     device:
         Name in :data:`repro.hardware.devices.DEVICES` supplying topology
         (for ``mapping="device"``) and/or calibration.  ``None`` uses the
-        reference grid calibration (the Sec. 6.3 error scale).
+        reference grid calibration (the Sec. 6.3 error scale).  The
+        ``"phase-flip"`` and ``"bit-flip"`` calibrations put pure Z or X
+        noise of rate ``1e-3`` on every gate operand: the channels of
+        Figures 9-11, which run their points as ``mapping="none"`` specs on
+        them.
     error_reduction_factors:
         The ``eps_r`` sweep grid (Appendix A): every gate/idle error rate is
         divided by each factor in turn.

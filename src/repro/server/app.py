@@ -209,10 +209,16 @@ class ScenarioService:
             return 400, error_envelope(
                 "invalid_request", "a 'scenario' name is required"
             )
-        for key in ("shots", "seed"):
-            if key in request and not isinstance(request[key], int):
+        # JSON true/false decode to bool, an int subclass: reject them, and
+        # reject counts no run can use (0 shots) or no seed stream accepts.
+        for key, least, kind in (
+            ("shots", 1, "positive"),
+            ("seed", 0, "non-negative"),
+        ):
+            value = request.get(key, least)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
                 return 400, error_envelope(
-                    "invalid_request", f"{key!r} must be an integer"
+                    "invalid_request", f"{key!r} must be a {kind} integer"
                 )
         engine = request.get("engine")
         if engine is not None and engine not in available_engines():

@@ -114,3 +114,56 @@ class TestFigureRunners:
         assert records[1]["fidelity"] >= records[0]["fidelity"] - 0.05
         report = fig12_report(configurations, reduction_factors=(1.0,), shots=10)
         assert "Figure 12" in report and "SWAP=" in report
+
+
+class TestFigureReportsFollowTheirRecords:
+    """Reports render the channels and configurations the records hold."""
+
+    def test_fig10_report_with_one_channel(self):
+        records = run_fig10(
+            widths=(1,), reduction_factors=(1.0,), shots=8, errors=("X",)
+        )
+        report = fig10_report(
+            widths=(1,), reduction_factors=(1.0,), shots=8, records=records
+        )
+        assert "right panel: bit flip" in report
+        assert "left panel" not in report
+
+    def test_fig11_report_with_one_channel(self):
+        records = run_fig11(
+            qram_widths=(1,),
+            sqc_widths=(0,),
+            reduction_factors=(1.0,),
+            shots=8,
+            errors=("Z",),
+        )
+        report = fig11_report(
+            qram_widths=(1,),
+            sqc_widths=(0,),
+            reduction_factors=(1.0,),
+            shots=8,
+            records=records,
+        )
+        assert "Z error" in report and "X error" not in report
+
+    def test_fig12_report_keys_columns_on_the_whole_configuration(self):
+        configurations = (
+            HardwareConfiguration(m=1, k=0, device_name="ibm_perth"),
+            HardwareConfiguration(m=1, k=0, device_name="ibmq_guadalupe"),
+        )
+        records = run_fig12(configurations, reduction_factors=(1.0,), shots=8)
+        assert [r["device"] for r in records] == [
+            "ibm_perth-like",
+            "ibmq_guadalupe-like",
+        ]
+        perth, guadalupe = records
+        assert perth["extra_swaps"] != guadalupe["extra_swaps"]
+        report = fig12_report(
+            configurations, reduction_factors=(1.0,), shots=8, records=records
+        )
+        header, _, row = report.splitlines()[1:]
+        assert f"m=1,k=0,ibm_perth (SWAP={perth['extra_swaps']})" in header
+        assert (
+            f"m=1,k=0,ibmq_guadalupe (SWAP={guadalupe['extra_swaps']})" in header
+        )
+        assert row.split()[1:] == [f"{r['fidelity']:.4g}" for r in records]

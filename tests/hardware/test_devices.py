@@ -31,6 +31,8 @@ class TestDeviceModels:
             "ibm_perth",
             "ibmq_guadalupe",
             "dual-rail-cavity",
+            "phase-flip",
+            "bit-flip",
         }
 
     def test_distance_and_paths(self):

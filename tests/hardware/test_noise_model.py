@@ -3,14 +3,22 @@
 import pytest
 
 from repro.circuit import Instruction, QuantumCircuit
+from repro.experiments.fig10 import DEFAULT_REDUCTION_FACTORS as FIG10_FACTORS
+from repro.experiments.fig11 import DEFAULT_REDUCTION_FACTORS as FIG11_FACTORS
 from repro.hardware import (
+    DEVICES,
     device_noise_model,
     ibm_perth_like,
     scheduled_device_noise_model,
 )
 from repro.hardware.devices import DeviceModel, dual_rail_cavity_like
 from repro.qram import ClassicalMemory, VirtualQRAM
-from repro.sim.noise import PauliChannel, ScheduledNoiseModel, iter_error_sites
+from repro.sim.noise import (
+    GateNoiseModel,
+    PauliChannel,
+    ScheduledNoiseModel,
+    iter_error_sites,
+)
 
 
 class TestDeviceNoiseModel:
@@ -95,6 +103,42 @@ class TestPauliBias:
         ).two_qubit_channel
         assert channel.p_x == pytest.approx(20 * channel.p_z)
         assert channel.p_y == pytest.approx(channel.p_x)
+
+
+class TestFigureGateNoiseCalibrations:
+    """The "phase-flip"/"bit-flip" calibrations are Figs. 9-11's gate noise."""
+
+    FACTORS = sorted(set(FIG10_FACTORS) | set(FIG11_FACTORS))
+    INSTRUCTIONS = (
+        Instruction(gate="X", qubits=(0,)),
+        Instruction(gate="CX", qubits=(0, 1)),
+        Instruction(gate="MCX", qubits=(0, 1, 2)),
+    )
+
+    @pytest.mark.parametrize(
+        "name, constructor",
+        [("phase-flip", PauliChannel.phase_flip), ("bit-flip", PauliChannel.bit_flip)],
+    )
+    def test_channels_equal_the_single_pauli_constructors(self, name, constructor):
+        for factor in self.FACTORS:
+            model = device_noise_model(DEVICES[name], error_reduction_factor=factor)
+            expected = GateNoiseModel(constructor(1e-3 / factor))
+            assert model.single_qubit_channel == constructor(1e-3 / factor)
+            assert model.two_qubit_channel == constructor(1e-3 / factor)
+            for instr in self.INSTRUCTIONS:
+                assert model.gate_error_channels(
+                    instr
+                ) == expected.gate_error_channels(instr)
+
+    @pytest.mark.parametrize("name", ["phase-flip", "bit-flip"])
+    def test_zero_idle_error_keeps_the_plain_model(self, name):
+        circuit = QuantumCircuit(2)
+        circuit.add("X", 0)
+        circuit.add("X", 0)
+        model = scheduled_device_noise_model(
+            DEVICES[name], circuit, error_reduction_factor=10.0, idle_error=0.0
+        )
+        assert model == device_noise_model(DEVICES[name], error_reduction_factor=10.0)
 
 
 class TestFidelityImprovesWithBetterHardware:

@@ -11,9 +11,7 @@ from repro.qram import (
     VirtualQRAM,
     VirtualQRAMOptions,
     make_architecture,
-    run_query_experiment,
 )
-from repro.sim import GateNoiseModel, PauliChannel
 
 
 class TestFactory:
@@ -43,23 +41,6 @@ class TestFactory:
             "virtual", small_memory, 2, options=VirtualQRAMOptions.raw()
         )
         assert not architecture.options.recycle_address_qubits
-
-
-class TestRunQueryExperiment:
-    def test_summary_fields(self, small_memory):
-        architecture = make_architecture("virtual", small_memory, 2)
-        noise = GateNoiseModel(PauliChannel.phase_flip(1e-3))
-        summary = run_query_experiment(architecture, noise, shots=32, seed=3)
-        data = summary.as_dict()
-        assert data["architecture"] == "virtual"
-        assert data["m"] == 2 and data["k"] == 1
-        assert 0.0 <= data["mean_fidelity"] <= 1.0
-        assert data["shots"] == 32
-
-    def test_noiseless_experiment(self, small_memory):
-        architecture = make_architecture("fanout", small_memory, 2)
-        summary = run_query_experiment(architecture, None, shots=4, seed=0)
-        assert summary.mean_fidelity == pytest.approx(1.0)
 
 
 class TestMultiBitQuery:

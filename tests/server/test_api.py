@@ -195,6 +195,20 @@ class TestErrorModel:
             )
             assert (status, body["error"]["code"]) == (400, "invalid_request")
 
+    def test_post_rejects_out_of_range_shots_and_seed(self, service):
+        for payload in (
+            {"scenario": "ideal-m3", "shots": 0},
+            {"scenario": "ideal-m3", "shots": -4},
+            {"scenario": "ideal-m3", "shots": True},
+            {"scenario": "ideal-m3", "seed": -1},
+            {"scenario": "ideal-m3", "seed": False},
+        ):
+            status, body = service.handle_post(
+                f"{API_PREFIX}/runs", json.dumps(payload).encode()
+            )
+            assert (status, body["error"]["code"]) == (400, "invalid_request")
+        assert len(service.jobs) == 0
+
     def test_post_unknown_scenario_404s(self, service):
         status, body = service.handle_post(
             f"{API_PREFIX}/runs", json.dumps({"scenario": "nope"}).encode()
@@ -229,6 +243,18 @@ class TestErrorModel:
         status, body = service.handle_get(f"{API_PREFIX}/results/{fingerprint}")
         assert status == 200
         assert body["data"]["records"]
+
+
+def test_out_of_range_seed_over_a_real_socket(server):
+    """A negative seed gets a 400 envelope, not a dropped connection."""
+    status, body = _request(
+        server, f"{API_PREFIX}/runs", {"scenario": "ideal-m3", "seed": -1}
+    )
+    assert (status, body["status"], body["error"]["code"]) == (
+        400,
+        "error",
+        "invalid_request",
+    )
 
 
 class TestBinaryArtefactRoute:
