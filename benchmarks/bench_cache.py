@@ -8,9 +8,10 @@ Two properties are measured:
 * **Bit-identity** (always gates): the warm records must equal the fresh
   ones exactly -- the cache may never change an answer, only its latency.
 * **Warm-hit speedup** (gated vs the committed baseline): fresh wall-clock
-  over warm wall-clock.  A warm hit is one JSON file read, so the ratio is
-  huge; the committed baseline is deliberately conservative (the gate
-  catches the cache silently re-executing, not file-system jitter).
+  over warm wall-clock.  A warm hit is one memory-mapped ``.rrec`` read
+  (no JSON parse), so the ratio is huge; the committed baseline is
+  deliberately conservative (the gate catches the cache silently
+  re-executing, not file-system jitter).
 
 Run standalone::
 

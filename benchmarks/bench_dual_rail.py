@@ -34,7 +34,7 @@ import numpy as np
 from repro.experiments.common import format_table
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.compile import compile_scenario
-from repro.sim.feynman import FeynmanPathSimulator
+from repro.sim import query_fidelities
 from repro.sim.noise import NoiselessModel
 from repro.sim.seeding import ShotSeeds
 
@@ -56,7 +56,7 @@ def _zero_noise_exact() -> bool:
     """All fidelities exactly 1.0 and every check passes."""
     compiled = compile_scenario(get_scenario("dual-rail-bb-m2"), SEED)
     for engine in ENGINES:
-        result = FeynmanPathSimulator(engine=engine).query_fidelities(
+        result = query_fidelities(
             compiled.circuit,
             compiled.input_state,
             NoiselessModel(),
@@ -65,6 +65,7 @@ def _zero_noise_exact() -> bool:
             ideal_output=compiled.ideal_output,
             rng=ShotSeeds(seed=SEED),
             postselect=compiled.postselect,
+            engine=engine,
         )
         if result.kept_fraction != 1.0 or not np.all(result.fidelities == 1.0):
             return False

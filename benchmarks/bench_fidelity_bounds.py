@@ -12,7 +12,7 @@ from conftest import emit
 from repro.analysis import qram_z_fidelity_bound, virtual_z_fidelity_bound
 from repro.experiments.common import format_table, random_memory
 from repro.qram import VirtualQRAM
-from repro.sim import FeynmanPathSimulator, PauliChannel, QubitOncePauliNoise, sample_noisy_circuit
+from repro.sim import PauliChannel, QubitOncePauliNoise, get_engine, sample_noisy_circuit
 from repro.sim.fidelity import reduced_fidelity
 
 EPSILON = 2e-3
@@ -21,7 +21,7 @@ SHOTS = 400
 
 def _qubit_noise_fidelity(architecture: VirtualQRAM, epsilon: float, shots: int) -> float:
     """Monte-Carlo fidelity under the per-qubit phase-flip channel of Sec. 5.1."""
-    simulator = FeynmanPathSimulator()
+    simulator = get_engine()
     circuit = architecture.build_circuit()
     state = architecture.input_state()
     ideal = architecture.ideal_output(state)

@@ -35,7 +35,7 @@ from repro.circuit.scheduling import idle_slack
 from repro.experiments.common import format_table
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.compile import compile_scenario
-from repro.sim.feynman import FeynmanPathSimulator
+from repro.sim import query_fidelities
 from repro.sim.noise import NoiselessModel
 from repro.sim.seeding import ShotSeeds
 
@@ -63,7 +63,7 @@ def _gate_idle_total(circuit) -> int:
 
 def _zero_noise_exact() -> bool:
     compiled = compile_scenario(get_scenario("htree-teleport-fused"), SEED)
-    result = FeynmanPathSimulator().query_fidelities(
+    result = query_fidelities(
         compiled.circuit,
         compiled.input_state,
         NoiselessModel(),

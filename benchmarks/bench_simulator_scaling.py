@@ -16,7 +16,7 @@ from conftest import emit
 
 from repro.experiments.common import format_table, random_memory
 from repro.qram import VirtualQRAM
-from repro.sim import FeynmanPathSimulator, GateNoiseModel, PauliChannel, StatevectorSimulator
+from repro.sim import GateNoiseModel, PauliChannel, StatevectorSimulator, get_engine, query_fidelities
 
 
 def _query_circuit(m: int):
@@ -29,7 +29,7 @@ def bench_path_simulator_noiseless_m6(benchmark):
     """Noiseless path simulation of a capacity-64 QRAM query (197 qubits)."""
     architecture, circuit = _query_circuit(6)
     state = architecture.input_state()
-    simulator = FeynmanPathSimulator()
+    simulator = get_engine()
     output = benchmark(simulator.run, circuit, state)
     assert output.num_paths == 64
 
@@ -39,10 +39,9 @@ def bench_path_simulator_noisy_shots_m5(benchmark):
     architecture, circuit = _query_circuit(5)
     state = architecture.input_state()
     noise = GateNoiseModel(PauliChannel.phase_flip(1e-3))
-    simulator = FeynmanPathSimulator()
 
     def run():
-        return simulator.query_fidelities(
+        return query_fidelities(
             circuit, state, noise, shots=256, keep_qubits=architecture.kept_qubits(),
             rng=np.random.default_rng(0),
         )
@@ -69,7 +68,7 @@ def bench_simulator_crossover_table(run_once):
             architecture, circuit = _query_circuit(m)
             state = architecture.input_state()
             start = time.perf_counter()
-            FeynmanPathSimulator().run(circuit, state)
+            get_engine().run(circuit, state)
             path_seconds = time.perf_counter() - start
 
             if circuit.num_qubits <= 20:
@@ -103,7 +102,7 @@ def bench_path_cost_linear_in_paths(run_once):
             amplitudes = {a: amplitude for a in range(num_addresses)}
             state = architecture.input_state(amplitudes)
             start = time.perf_counter()
-            FeynmanPathSimulator().run(circuit, state)
+            get_engine().run(circuit, state)
             timings.append((num_addresses, time.perf_counter() - start))
         return timings
 

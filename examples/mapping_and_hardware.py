@@ -35,7 +35,7 @@ from repro.mapping import (
     TeleportationRouting,
     verify_topological_minor,
 )
-from repro.sim import FeynmanPathSimulator
+from repro.sim import query_fidelities
 
 
 def embedding_picture() -> None:
@@ -83,7 +83,6 @@ def routing_comparison() -> None:
 
 def device_study() -> None:
     print("small virtual QRAMs on IBM-like devices (Figure 12 methodology)")
-    simulator = FeynmanPathSimulator()
     configurations = [
         (1, 0, "ibm_perth"),
         (1, 1, "ibm_perth"),
@@ -103,7 +102,7 @@ def device_study() -> None:
         fidelities = []
         for factor in factors:
             noise = device_noise_model(device, error_reduction_factor=factor)
-            result = simulator.query_fidelities(
+            result = query_fidelities(
                 routed.circuit,
                 physical_input,
                 noise,

@@ -32,7 +32,7 @@ from repro.hardware import make_router
 from repro.hardware.devices import DeviceModel
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.compile import compile_scenario
-from repro.sim import FeynmanPathSimulator
+from repro.sim import query_fidelities
 from repro.sim.noise import NoiselessModel
 from repro.sim.seeding import ShotSeeds
 
@@ -60,7 +60,7 @@ def compare_structure() -> None:
 
     # Zero noise: the executed links must reproduce the ideal query exactly,
     # for every measurement-outcome realisation.
-    result = FeynmanPathSimulator().query_fidelities(
+    result = query_fidelities(
         executed.circuit,
         executed.input_state,
         NoiselessModel(),

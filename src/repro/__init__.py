@@ -43,11 +43,11 @@ from repro.qram import (
     make_architecture,
 )
 from repro.sim import (
-    FeynmanPathSimulator,
     GateNoiseModel,
     PathState,
     PauliChannel,
     StatevectorSimulator,
+    query_fidelities,
 )
 
 __version__ = "1.0.0"
@@ -56,7 +56,6 @@ __all__ = [
     "BucketBrigadeQRAM",
     "ClassicalMemory",
     "FanoutQRAM",
-    "FeynmanPathSimulator",
     "GateNoiseModel",
     "Instruction",
     "PathState",
@@ -70,4 +69,5 @@ __all__ = [
     "VirtualQRAMOptions",
     "__version__",
     "make_architecture",
+    "query_fidelities",
 ]

@@ -37,10 +37,10 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Callable
 
 from repro.cache.fingerprint import CACHE_SCHEMA_VERSION
-from repro.records import RecordFile, RecordFormatError, merge_record_files, write_records
+from repro.records import RecordFile, RecordFormatError, write_records
 from repro.scenarios.record import ScenarioRecord
 
 #: Environment variable naming the cache root.  ``run_scenario(cache=None)``
@@ -158,44 +158,14 @@ class ResultCache:
         return self.get_payload(fingerprint) is not None
 
     # ---------------------------------------------------------------- writes
-    def _replace(self, fingerprint: str, path: Path, blob: bytes) -> Path:
-        """Write ``blob`` to a same-directory temp file and rename onto ``path``."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{fingerprint[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(blob)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
     def _commit_binary(
         self, fingerprint: str, records: list[ScenarioRecord]
     ) -> Path:
         """Atomically write the ``.rrec`` artefact, tag = fingerprint."""
-        path = self.binary_path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{fingerprint[:8]}-", suffix=".tmp"
+        return _write_atomically(
+            self.binary_path_for(fingerprint),
+            lambda temp_name: write_records(temp_name, records, tag=fingerprint),
         )
-        os.close(descriptor)
-        try:
-            write_records(temp_name, records, tag=fingerprint)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return path
 
     def put(self, fingerprint: str, records: list[ScenarioRecord]) -> Path:
         """Atomically commit ``records`` under ``fingerprint``.
@@ -215,47 +185,10 @@ class ResultCache:
             "records": [record.json_dict() for record in records],
         }
         blob = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        return self._replace(
-            fingerprint, self.path_for(fingerprint), blob.encode("utf-8")
+        return _write_atomically(
+            self.path_for(fingerprint),
+            lambda temp_name: Path(temp_name).write_bytes(blob.encode("utf-8")),
         )
-
-    def put_shards(
-        self, fingerprint: str, shard_paths: Sequence[str | Path]
-    ) -> Path:
-        """Commit a sweep from its on-disk ``.rrec`` worker shards.
-
-        The shards are merged with the memory-mapped k-way merge (no record
-        is ever decoded), the merged artefact lands under ``fingerprint``
-        with the usual temp-file/rename dance, and the compat JSON document
-        is derived from the merged file.  The committed bytes are identical
-        to ``put(fingerprint, concatenated_records)`` by the merge's
-        byte-identity guarantee.  Returns the ``.rrec`` path.
-        """
-        path = self.binary_path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{fingerprint[:8]}-", suffix=".tmp"
-        )
-        os.close(descriptor)
-        try:
-            merge_record_files(shard_paths, temp_name, tag=fingerprint)
-            with RecordFile(temp_name) as record_file:
-                records = record_file.records()
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        document = {
-            "schema_version": CACHE_SCHEMA_VERSION,
-            "fingerprint": fingerprint,
-            "records": [record.json_dict() for record in records],
-        }
-        blob = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        self._replace(fingerprint, self.path_for(fingerprint), blob.encode("utf-8"))
-        return path
 
     # ------------------------------------------------------------- inventory
     def fingerprints(self) -> list[str]:
@@ -278,6 +211,29 @@ class ResultCache:
             except RecordFormatError:
                 pass
         return sorted(found)
+
+
+def _write_atomically(path: Path, write: Callable[[str], object]) -> Path:
+    """Have ``write`` fill a same-directory temp file, then rename it onto ``path``.
+
+    ``write`` receives the temp file's name.  On any failure the temp file
+    is removed and ``path`` is left as it was.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    descriptor, temp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem[:8]}-", suffix=".tmp"
+    )
+    os.close(descriptor)
+    try:
+        write(temp_name)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 def resolve_cache(cache: "ResultCache | bool | str | Path | None") -> ResultCache | None:

@@ -43,8 +43,8 @@ to ``|0>``; optional *flag* rounds interleave a global parity probe (XOR of
 every rail, expected ``n mod 2``) inside the circuit body, catching mid-
 circuit erasures whose rail has already routed elsewhere by circuit end.
 :attr:`DualRailExpansion.postselect` lists every ``(cbit, expected)`` pair
--- the postselection mask :meth:`~repro.sim.feynman.FeynmanPathSimulator.
-query_fidelities` partitions shots by.
+-- the postselection mask :func:`~repro.sim.feynman.query_fidelities`
+partitions shots by.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ def encode_dual_rail(
     engines execute directly: check outcomes come from each shot's seeded
     stream (deterministically, see the module docstring), and
     :attr:`~DualRailExpansion.postselect` feeds straight into
-    :meth:`~repro.sim.feynman.FeynmanPathSimulator.query_fidelities`.
+    :func:`~repro.sim.feynman.query_fidelities`.
     """
     if flag_rounds < 0:
         raise ValueError("flag_rounds must be non-negative")

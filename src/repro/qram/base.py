@@ -27,7 +27,8 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.decompose import CliffordTCost, circuit_cost
 from repro.circuit.ir import GateTape, compile_circuit
 from repro.qram.memory import ClassicalMemory
-from repro.sim.feynman import FeynmanPathSimulator, QueryResult
+from repro.sim.engine import get_engine
+from repro.sim.feynman import QueryResult, query_fidelities
 from repro.sim.noise import NoiseModel, NoiselessModel
 from repro.sim.paths import PathState
 from repro.sim.seeding import ShotSeeds
@@ -233,7 +234,7 @@ class QRAMArchitecture:
             # superposition and ideal output it carries would be wasted work
             # (e.g. MultiBitQuery readouts run many single-path inputs).
             circuit, state = self.build_circuit(), input_state
-        return FeynmanPathSimulator(engine=engine).run(circuit, state)
+        return get_engine(engine).run(circuit, state)
 
     def verify(self, input_state: PathState | None = None) -> bool:
         """True when the noiseless simulation matches the ideal output exactly."""
@@ -289,11 +290,12 @@ class QRAMArchitecture:
             state = input_state
             ideal = self.ideal_output(state)
             keep = self.kept_qubits() if reduced else None
-        return FeynmanPathSimulator(engine=engine).query_fidelities(
+        return query_fidelities(
             circuit,
             state,
             noise,
             shots,
+            engine=engine,
             keep_qubits=keep,
             ideal_output=ideal,
             rng=rng,

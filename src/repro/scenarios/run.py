@@ -34,7 +34,7 @@ from repro.scenarios.compile import CompiledScenario, compile_scenario
 from repro.scenarios.record import ScenarioRecord
 from repro.scenarios.spec import ScenarioSpec, get_scenario
 from repro.sim.engine import get_default_engine
-from repro.sim.feynman import FeynmanPathSimulator, QueryResult
+from repro.sim.feynman import QueryResult, query_fidelities
 from repro.sweep import ShotShard, SweepRunner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,11 +45,12 @@ def _scenario_shard(spec_bundle: tuple, shard: ShotShard) -> np.ndarray:
     """Per-shard fidelities of one ``(scenario, eps_r)`` sweep point."""
     spec, factor, seed, engine = spec_bundle
     compiled = compile_scenario(spec, seed)
-    result = FeynmanPathSimulator(engine=engine).query_fidelities(
+    result = query_fidelities(
         compiled.circuit,
         compiled.input_state,
         compiled.noise_model(factor),
         shard.shots,
+        engine=engine,
         keep_qubits=list(compiled.keep_qubits),
         ideal_output=compiled.ideal_output,
         rng=shard.seeds(),

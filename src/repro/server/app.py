@@ -269,6 +269,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # Injected per server class (see ScenarioServer); annotated for clarity.
     service: ScenarioService
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, the body of every
+    # kept-alive response would wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:
         """Serve one GET through :meth:`ScenarioService.handle_get`."""

@@ -11,10 +11,10 @@ Contents
 --------
 * :class:`~repro.sim.paths.PathState` -- a superposition stored as a boolean
   matrix of paths plus complex amplitudes.
-* :class:`~repro.sim.feynman.FeynmanPathSimulator` -- noiseless and
-  Monte-Carlo-noisy path simulation, vectorised across both paths and shots.
-* :mod:`~repro.sim.engine` -- pluggable execution engines behind the
-  simulator facade: the compiled gate-tape engine (``"feynman-tape"``, the
+* :func:`~repro.sim.feynman.query_fidelities` -- Monte-Carlo-noisy query
+  fidelity, vectorised across both paths and shots, on any engine.
+* :mod:`~repro.sim.engine` -- pluggable execution engines: the compiled
+  gate-tape engine (``"feynman-tape"``, the
   default; ``"feynman-batch"`` and ``"feynman-interp"`` are aliases of it)
   and the dense ``"statevector"`` adapter, plus the name registry and
   session default.
@@ -35,7 +35,7 @@ from repro.sim.engine import (
     set_default_engine,
 )
 from repro.sim.fidelity import reduced_fidelity, state_fidelity
-from repro.sim.feynman import FeynmanPathSimulator, UnsupportedGateError
+from repro.sim.feynman import UnsupportedGateError, query_fidelities
 from repro.sim.noise import (
     DepolarizingNoise,
     GateNoiseModel,
@@ -54,7 +54,6 @@ from repro.sim.statevector import StatevectorSimulator
 __all__ = [
     "DepolarizingNoise",
     "Engine",
-    "FeynmanPathSimulator",
     "GateNoiseModel",
     "NoiseModel",
     "NoiselessModel",
@@ -68,6 +67,7 @@ __all__ = [
     "available_engines",
     "get_default_engine",
     "get_engine",
+    "query_fidelities",
     "reduced_fidelity",
     "register_engine",
     "sample_noisy_circuit",

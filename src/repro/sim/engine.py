@@ -352,8 +352,8 @@ class Engine:
         per slot -- or ``None`` when the circuit records nothing.  Recording
         observes the register the engines already maintain, so it consumes
         no randomness of its own.  Postselection
-        (:meth:`~repro.sim.feynman.FeynmanPathSimulator.query_fidelities`)
-        partitions shots by these outcomes.
+        (:func:`~repro.sim.feynman.query_fidelities`) partitions shots by
+        these outcomes.
         """
         raise NotImplementedError
 

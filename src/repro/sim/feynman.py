@@ -16,12 +16,13 @@ For Monte-Carlo noise the simulator goes one step further and vectorises over
 shots as well: the path matrix is replicated ``shots`` times and per-shot
 Pauli errors are applied as masked column updates.
 
-:class:`FeynmanPathSimulator` is a thin facade over the pluggable execution
-engines of :mod:`repro.sim.engine`.  By default it uses the compiled
-``"feynman-tape"`` engine, which executes the circuit's fused
-:class:`~repro.circuit.ir.GateTape` with integer-opcode dispatch and draws
-every shot's Pauli codes up front; pass ``engine="statevector"`` for the
-dense reference simulator (noiseless only).
+:func:`query_fidelities` runs a noisy query on one of the execution engines
+of :mod:`repro.sim.engine` and scores every shot against the noiseless
+output.  By default it uses the compiled ``"feynman-tape"`` engine, which
+executes the circuit's fused :class:`~repro.circuit.ir.GateTape` with
+integer-opcode dispatch and draws every shot's Pauli codes up front; pass
+``engine="statevector"`` for the dense reference simulator (noiseless only).
+Noiseless runs call the engine directly: ``get_engine(engine).run(...)``.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.sim.engine import UnsupportedGateError
+from repro.sim.engine import Engine, UnsupportedGateError, get_engine
 from repro.sim.fidelity import shot_fidelities
 from repro.sim.noise import NoiseModel
 from repro.sim.paths import PathState
 from repro.sim.seeding import ShotSeeds
 
-__all__ = ["FeynmanPathSimulator", "QueryResult", "UnsupportedGateError"]
+__all__ = ["QueryResult", "UnsupportedGateError", "query_fidelities"]
 
 
 @dataclass
@@ -94,160 +95,90 @@ class QueryResult:
         return float(np.std(values, ddof=1) / np.sqrt(kept))
 
 
-class FeynmanPathSimulator:
-    """Simulates basis-permutation circuits path by path (see module docstring).
+def query_fidelities(
+    circuit: QuantumCircuit,
+    input_state: PathState,
+    noise: NoiseModel,
+    shots: int,
+    *,
+    engine: str | Engine | None = None,
+    keep_qubits: list[int] | None = None,
+    ideal_output: PathState | None = None,
+    rng: ShotSeeds | np.random.Generator | int | None = None,
+    postselect: tuple[tuple[int, int], ...] | None = None,
+) -> QueryResult:
+    """Monte-Carlo estimate of the query fidelity under ``noise``.
 
     Parameters
     ----------
+    circuit:
+        The (noise-free) query circuit.
+    input_state:
+        Input superposition, typically
+        ``PathState.register_superposition`` over the address register.
+    noise:
+        Noise model; gate-based models are applied on the fly.
+    shots:
+        Number of Monte-Carlo noise samples.
     engine:
         Execution engine: a registered name (``"feynman-tape"``,
         ``"statevector"``; ``"feynman-batch"`` and ``"feynman-interp"`` are
         aliases of ``"feynman-tape"``), an
         :class:`~repro.sim.engine.Engine` instance, or ``None`` for the
         session default (see :func:`repro.sim.engine.set_default_engine`).
+    keep_qubits:
+        Qubits defining the *reduced* fidelity (normally address + bus,
+        i.e. the registers whose state the algorithm actually consumes).
+        ``None`` computes the full-state overlap fidelity.
+    ideal_output:
+        Pre-computed noiseless output (saves a simulation when sweeping
+        noise parameters over the same circuit).
+    rng:
+        Random source, resolved to a per-shot
+        :class:`~repro.sim.seeding.ShotSeeds` window by
+        :func:`~repro.sim.seeding.as_shot_seeds`: the window itself, an
+        int seed, a generator (which contributes one seed) or ``None``
+        for fresh entropy.
+    postselect:
+        ``(cbit, expected_outcome)`` pairs to postselect on: a shot is
+        *kept* only when every listed classical slot recorded its
+        expected outcome.  Rejected shots come back as ``NaN`` in
+        :attr:`QueryResult.fidelities` and are excluded from every
+        aggregate, with :attr:`QueryResult.kept_fraction` accounting for
+        them.  ``None`` (or empty) keeps every shot.
     """
-
-    def __init__(self, engine=None):
-        self.engine = engine
-
-    def _resolve_engine(self):
-        from repro.sim.engine import get_engine
-
-        return get_engine(self.engine)
-
-    # ----------------------------------------------------------- noiseless run
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> PathState:
-        """Run ``circuit`` on ``state`` and return the output :class:`PathState`.
-
-        ``rng`` supplies mid-circuit measurement outcomes when the circuit
-        contains ``MEASURE`` instructions (``None`` uses a fixed stream);
-        measurement-free circuits never consume randomness.
-        """
-        return self._resolve_engine().run(circuit, state, rng=rng)
-
-    # -------------------------------------------------------- noisy Monte Carlo
-    def run_noisy_shots(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: ShotSeeds | np.random.Generator | int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Simulate ``shots`` Monte-Carlo noise samples in one vectorised pass.
-
-        Returns the final ``bits`` block of shape ``(shots * n_paths, n_qubits)``
-        and the matching amplitude vector.  Rows ``[s * n_paths, (s+1) * n_paths)``
-        belong to shot ``s``.  ``rng`` resolves to a
-        :class:`~repro.sim.seeding.ShotSeeds` window
-        (:func:`~repro.sim.seeding.as_shot_seeds`), so every shot draws its
-        errors from its own stream -- the contract the deterministic sharding
-        of :mod:`repro.sweep` relies on.
-        """
-        return self._resolve_engine().run_noisy_shots(
-            circuit, state, noise, shots, rng=rng
+    engine = get_engine(engine)
+    if ideal_output is None:
+        ideal_output = engine.run(circuit, input_state)
+    kept: np.ndarray | None = None
+    if postselect:
+        bits, amps, outcomes = engine.run_noisy_shots_recorded(
+            circuit, input_state, noise, shots, rng=rng
         )
-
-    def run_noisy_shots_recorded(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: ShotSeeds | np.random.Generator | int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Like :meth:`run_noisy_shots`, plus the recorded measurement outcomes.
-
-        The third element is the classical register of the whole batch --
-        shape ``(num_clbits, shots)`` ``int8``, one row per slot -- or
-        ``None`` when the circuit records nothing.  This is what
-        postselection partitions shots by (see :meth:`query_fidelities`).
-        """
-        return self._resolve_engine().run_noisy_shots_recorded(
-            circuit, state, noise, shots, rng=rng
-        )
-
-    def query_fidelities(
-        self,
-        circuit: QuantumCircuit,
-        input_state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        *,
-        keep_qubits: list[int] | None = None,
-        ideal_output: PathState | None = None,
-        rng: ShotSeeds | np.random.Generator | int | None = None,
-        postselect: tuple[tuple[int, int], ...] | None = None,
-    ) -> QueryResult:
-        """Monte-Carlo estimate of the query fidelity under ``noise``.
-
-        Parameters
-        ----------
-        circuit:
-            The (noise-free) query circuit.
-        input_state:
-            Input superposition, typically
-            ``PathState.register_superposition`` over the address register.
-        noise:
-            Noise model; gate-based models are applied on the fly.
-        shots:
-            Number of Monte-Carlo noise samples.
-        keep_qubits:
-            Qubits defining the *reduced* fidelity (normally address + bus,
-            i.e. the registers whose state the algorithm actually consumes).
-            ``None`` computes the full-state overlap fidelity.
-        ideal_output:
-            Pre-computed noiseless output (saves a simulation when sweeping
-            noise parameters over the same circuit).
-        rng:
-            Random source, resolved to a per-shot
-            :class:`~repro.sim.seeding.ShotSeeds` window by
-            :func:`~repro.sim.seeding.as_shot_seeds`: the window itself, an
-            int seed, a generator (which contributes one seed) or ``None``
-            for fresh entropy.
-        postselect:
-            ``(cbit, expected_outcome)`` pairs to postselect on: a shot is
-            *kept* only when every listed classical slot recorded its
-            expected outcome.  Rejected shots come back as ``NaN`` in
-            :attr:`QueryResult.fidelities` and are excluded from every
-            aggregate, with :attr:`QueryResult.kept_fraction` accounting for
-            them.  ``None`` (or empty) keeps every shot.
-        """
-        if ideal_output is None:
-            ideal_output = self.run(circuit, input_state)
-        kept: np.ndarray | None = None
-        if postselect:
-            bits, amps, outcomes = self.run_noisy_shots_recorded(
-                circuit, input_state, noise, shots, rng=rng
+        if outcomes is None:
+            raise ValueError(
+                "postselect names classical bits but the circuit records "
+                "no measurement outcomes"
             )
-            if outcomes is None:
-                raise ValueError(
-                    "postselect names classical bits but the circuit records "
-                    "no measurement outcomes"
-                )
-            kept = np.ones(shots, dtype=bool)
-            for cbit, expected in postselect:
-                kept &= outcomes[cbit] == expected
-        else:
-            bits, amps = self.run_noisy_shots(
-                circuit, input_state, noise, shots, rng=rng
-            )
-        # Branching circuits may leave more paths per shot than the input had
-        # (uncollapsed H branches), so derive the per-shot width from the
-        # returned block instead of the input state.
-        fidelities = shot_fidelities(
-            ideal_output,
-            bits,
-            amps,
-            shots=shots,
-            n_paths=bits.shape[0] // shots,
-            keep_qubits=keep_qubits,
-            kept=kept,
+        kept = np.ones(shots, dtype=bool)
+        for cbit, expected in postselect:
+            kept &= outcomes[cbit] == expected
+    else:
+        # The statevector engine has no recorded mode, so runs without
+        # postselection go through the plain shot interface.
+        bits, amps = engine.run_noisy_shots(
+            circuit, input_state, noise, shots, rng=rng
         )
-        return QueryResult(fidelities=fidelities, shots=shots)
+    # Branching circuits may leave more paths per shot than the input had
+    # (uncollapsed H branches), so derive the per-shot width from the
+    # returned block instead of the input state.
+    fidelities = shot_fidelities(
+        ideal_output,
+        bits,
+        amps,
+        shots=shots,
+        n_paths=bits.shape[0] // shots,
+        keep_qubits=keep_qubits,
+        kept=kept,
+    )
+    return QueryResult(fidelities=fidelities, shots=shots)

@@ -13,7 +13,7 @@ Two fidelities are used throughout the reproduction:
 
 Both metrics operate on path-sum representations, so they are exact for a
 given Pauli error pattern; the Monte-Carlo average over patterns is taken by
-:class:`~repro.sim.feynman.FeynmanPathSimulator.query_fidelities`.
+:func:`~repro.sim.feynman.query_fidelities`.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def shot_fidelities(
     """Per-shot fidelities for a vectorised Monte-Carlo block.
 
     ``bits_block``/``amps_block`` are the outputs of
-    :meth:`FeynmanPathSimulator.run_noisy_shots`: ``shots`` stacked copies of
+    :meth:`~repro.sim.engine.Engine.run_noisy_shots`: ``shots`` stacked copies of
     the path set, each evolved under an independently sampled error pattern.
 
     When ``keep_qubits`` is ``None`` the full-state fidelity is computed;

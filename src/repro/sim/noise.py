@@ -428,43 +428,3 @@ def sample_noisy_circuit(
         gate_index += 1
     insert_errors(noise.final_error_channels())
     return noisy
-
-
-def expected_error_insertions(
-    circuit: "QuantumCircuit", noise: NoiseModel
-) -> float:
-    """Expected number of Pauli errors a Monte-Carlo sample will insert.
-
-    Useful for sanity checks in tests and for scaling analyses: with the
-    gate-based model this equals ``sum over gates of (#operands * p_total)``.
-    """
-    if isinstance(noise, QubitOncePauliNoise):
-        touched = set()
-        for instr in circuit.gates:
-            if instr.is_measurement or instr.is_frame:
-                continue
-            touched.update(instr.qubits)
-        return len(touched) * noise.channel.p_total
-    total = 0.0
-    for _, _, channel in iter_error_sites(circuit, noise):
-        total += channel.p_total
-    return total
-
-
-def iter_error_sites(
-    circuit: "QuantumCircuit", noise: NoiseModel
-) -> Iterable[tuple[int, int, PauliChannel]]:
-    """Yield ``(instruction_index, qubit, channel)`` error opportunities.
-
-    Sites triggered by the end of the circuit (idle-noise flushes) are
-    yielded with ``instruction_index == len(circuit.instructions)``.
-    """
-    gate_index = 0
-    for index, instr in enumerate(circuit.instructions):
-        if instr.is_barrier:
-            continue
-        for qubit, channel in noise.gate_error_channels_indexed(gate_index, instr):
-            yield index, qubit, channel
-        gate_index += 1
-    for qubit, channel in noise.final_error_channels():
-        yield len(circuit.instructions), qubit, channel

@@ -37,7 +37,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -237,11 +236,6 @@ class SweepRunner:
         target = shots if self.workers == 1 else -(-shots // (4 * self.workers))
         return min(MAX_SHARD_SHOTS, max(MIN_SHARD_SHOTS, target))
 
-    def shards(self, shots: int, *, seed: int, point_index: int = 0) -> list[ShotShard]:
-        """The :class:`ShotShard` decomposition of one point's shot loop."""
-        plan = split_shots(shots, self.shard_size_for(shots))
-        return _plan_shards(plan, seed=seed, point_index=point_index)
-
     def map_shards(
         self,
         fn: Callable[[Any, ShotShard], np.ndarray],
@@ -249,7 +243,6 @@ class SweepRunner:
         *,
         shots: int,
         seed: int,
-        point_offset: int = 0,
     ) -> list[QueryResult]:
         """Run a Monte-Carlo sweep and merge shards per point.
 
@@ -260,16 +253,12 @@ class SweepRunner:
         arrays are returned as :class:`~repro.sim.feynman.QueryResult`
         instances, concatenated in shot order so the result is invariant
         under workers and shard size.
-
-        ``point_offset`` shifts the seed-keying point index of ``specs[0]``,
-        letting a caller embed a sub-sweep into a larger sweep's coordinate
-        space without re-seeding collisions.
         """
         plan = split_shots(shots, self.shard_size_for(shots))
         units = [
             (spec, shard)
             for index, spec in enumerate(specs)
-            for shard in _plan_shards(plan, seed=seed, point_index=point_offset + index)
+            for shard in _plan_shards(plan, seed=seed, point_index=index)
         ]
         outputs = self.map_units(fn, units)
 
@@ -288,26 +277,3 @@ class SweepRunner:
                 )
             results.append(QueryResult(fidelities=fidelities, shots=shots))
         return results
-
-    # --------------------------------------------------------- record merging
-    @staticmethod
-    def merge_record_shards(
-        shard_paths: Sequence[str | Path],
-        output: str | Path,
-        *,
-        tag: str = "",
-    ) -> Path:
-        """Merge per-worker ``.rrec`` record shards into one artefact.
-
-        The memory-mapped k-way merge of :mod:`repro.records` replaces JSON
-        list concatenation: every shard is validated (CRC, schema) on open,
-        no record is ever decoded, and the output bytes equal a serial
-        re-encode of the concatenated records -- so the merged artefact is
-        bit-identical for any worker count and shard decomposition, the same
-        contract :meth:`map_shards` honours for fidelities.  Corrupt shards
-        raise :class:`~repro.records.format.RecordFormatError` and nothing
-        is written.
-        """
-        from repro.records import merge_record_files
-
-        return merge_record_files(shard_paths, output, tag=tag)

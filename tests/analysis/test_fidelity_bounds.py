@@ -19,7 +19,7 @@ from repro.analysis.fidelity import (
     expected_z_fidelity,
 )
 from repro.qram import ClassicalMemory, VirtualQRAM
-from repro.sim import FeynmanPathSimulator, PauliChannel, QubitOncePauliNoise, sample_noisy_circuit
+from repro.sim import PauliChannel, QubitOncePauliNoise, get_engine, sample_noisy_circuit
 from repro.sim.fidelity import reduced_fidelity
 
 import numpy as np
@@ -122,7 +122,7 @@ class TestBoundAgainstSimulation:
         circuit = architecture.build_circuit()
         state = architecture.input_state()
         ideal = architecture.ideal_output(state)
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
         noise = QubitOncePauliNoise(PauliChannel.phase_flip(epsilon))
         rng = np.random.default_rng(42)
         values = []

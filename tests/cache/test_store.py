@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.cache import CACHE_SCHEMA_VERSION, ResultCache, resolve_cache
 from repro.cache.store import CACHE_DIR_ENV_VAR, default_cache_dir
 from repro.scenarios.record import ScenarioRecord
@@ -216,23 +218,28 @@ class TestBinaryBackend:
         assert cache.get_binary(FP) == expected
         assert cache.binary_path_for(FP).is_file()
 
-    def test_put_shards_commits_the_merged_artefact(self, tmp_path):
-        from repro.records import write_records
+    def test_failed_write_leaves_the_committed_artefacts(self, tmp_path, monkeypatch):
+        """A write that dies midway removes its temp file and replaces nothing."""
+        import repro.cache.store as store
 
         cache = ResultCache(tmp_path)
         records = self._records()
-        first = tmp_path / "shard-0.rrec"
-        second = tmp_path / "shard-1.rrec"
-        write_records(first, records[:1])
-        write_records(second, records[1:])
-        path = cache.put_shards(FP, [first, second])
-        assert path == cache.binary_path_for(FP)
+        cache.put(FP, records)
+        before = sorted(p.name for p in cache.binary_path_for(FP).parent.iterdir())
+        binary = cache.binary_path_for(FP).read_bytes()
+
+        def torn_write(path, records, *, tag=""):
+            with open(path, "wb") as handle:
+                handle.write(b"RREC partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store, "write_records", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(FP, records[:1])
+        after = sorted(p.name for p in cache.binary_path_for(FP).parent.iterdir())
+        assert after == before
+        assert cache.binary_path_for(FP).read_bytes() == binary
         assert cache.get(FP) == records
-        # Byte-identical to the record-list commit of the same run.
-        direct = ResultCache(tmp_path / "direct")
-        direct.put(FP, records)
-        assert path.read_bytes() == direct.binary_path_for(FP).read_bytes()
-        assert cache.path_for(FP).read_bytes() == direct.path_for(FP).read_bytes()
 
 
 class TestResolveCache:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.circuit import Instruction, QuantumCircuit
-from repro.sim import FeynmanPathSimulator, PathState
+from repro.sim import PathState, get_engine
 from tests.conftest import random_reversible_circuits
 
 
@@ -132,7 +132,7 @@ class TestTransforms:
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, size=(4, circuit.num_qubits)).astype(bool)
         state = PathState(bits=bits.copy(), amplitudes=np.ones(4, dtype=complex))
-        output = FeynmanPathSimulator().run(roundtrip, state)
+        output = get_engine().run(roundtrip, state)
         assert np.array_equal(output.bits, bits)
         assert np.allclose(output.amplitudes, np.ones(4))
 

@@ -16,12 +16,12 @@ from repro.hardware import (
 )
 from repro.hardware.devices import DeviceModel, grid_device
 from repro.scenarios import BUILTIN_SCENARIOS, compile_scenario, get_scenario
-from repro.sim import FeynmanPathSimulator, PathState
+from repro.sim import PathState, get_engine
 
 
 def _assert_equivalent(circuit, routed) -> None:
     """The routed circuit implements the same map up to the final layout."""
-    simulator = FeynmanPathSimulator()
+    simulator = get_engine()
     rng = np.random.default_rng(1)
     bits = np.unique(
         rng.integers(0, 2, size=(4, circuit.num_qubits)).astype(bool), axis=0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuit import Instruction, QuantumCircuit
+from repro.circuit import Instruction, QuantumCircuit, compile_circuit
 from repro.experiments.fig10 import DEFAULT_REDUCTION_FACTORS as FIG10_FACTORS
 from repro.experiments.fig11 import DEFAULT_REDUCTION_FACTORS as FIG11_FACTORS
 from repro.hardware import (
@@ -17,7 +17,6 @@ from repro.sim.noise import (
     GateNoiseModel,
     PauliChannel,
     ScheduledNoiseModel,
-    iter_error_sites,
 )
 
 
@@ -196,10 +195,7 @@ class TestScheduledDeviceNoiseModel:
     def test_site_count_adds_idle_budget_to_gate_sites(self):
         circuit = self._circuit()
         device = ibm_perth_like()
-        plain = list(iter_error_sites(circuit, device_noise_model(device)))
-        scheduled = list(
-            iter_error_sites(
-                circuit, scheduled_device_noise_model(device, circuit)
-            )
-        )
-        assert len(scheduled) == len(plain) + 5
+        tape = compile_circuit(circuit)
+        plain = tape.noise_sites(device_noise_model(device))
+        scheduled = tape.noise_sites(scheduled_device_noise_model(device, circuit))
+        assert scheduled.n_sites == plain.n_sites + 5

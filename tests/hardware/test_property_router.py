@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.hardware import make_router
 from repro.hardware.devices import DeviceModel
-from repro.sim import FeynmanPathSimulator, PathState
+from repro.sim import PathState, get_engine
 from tests.conftest import random_reversible_circuits
 
 ROUTER_NAMES = ("greedy-swap", "lookahead", "lookahead-teleport")
@@ -90,7 +90,7 @@ class TestRoutingEquivalenceProperties:
         """Routed + embedded input == embedded logical output, on dense amplitudes."""
         device, circuit = instance
         routed = make_router(router_name, device).route(circuit)
-        dense = FeynmanPathSimulator(engine="statevector")
+        dense = get_engine("statevector")
         state = _logical_input(circuit)
         logical_output = dense.run(circuit, state)
         physical_output = dense.run(

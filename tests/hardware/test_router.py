@@ -8,7 +8,7 @@ from repro.circuit import QuantumCircuit
 from repro.hardware import GreedySwapRouter, ibm_perth_like, ibmq_guadalupe_like
 from repro.hardware.devices import DeviceModel, grid_device
 from repro.qram import ClassicalMemory, VirtualQRAM
-from repro.sim import FeynmanPathSimulator, PathState
+from repro.sim import PathState, get_engine
 from tests.conftest import random_reversible_circuits
 
 
@@ -17,7 +17,7 @@ class TestRoutingCorrectness:
         """The routed circuit must implement the same map, up to the final layout."""
         router = GreedySwapRouter(device)
         routed = router.route(circuit)
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
 
         rng = np.random.default_rng(0)
         bits = np.unique(

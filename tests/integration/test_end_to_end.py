@@ -14,7 +14,7 @@ from repro.qram import (
     VirtualQRAM,
     VirtualQRAMOptions,
 )
-from repro.sim import FeynmanPathSimulator, GateNoiseModel, PauliChannel
+from repro.sim import GateNoiseModel, PauliChannel, get_engine, query_fidelities
 
 
 class TestVirtualMemoryScenario:
@@ -126,14 +126,13 @@ class TestCompilationPipeline:
         # Device routing and noisy simulation.
         device = ibmq_guadalupe_like()
         routed = GreedySwapRouter(device).route(circuit)
-        simulator = FeynmanPathSimulator()
         logical_input = architecture.input_state()
         physical_input = routed.map_state(logical_input, final=False)
         physical_ideal = routed.map_state(
             architecture.ideal_output(logical_input), final=True
         )
         keep = routed.physical_qubits(architecture.kept_qubits(), final=True)
-        result = simulator.query_fidelities(
+        result = query_fidelities(
             routed.circuit,
             physical_input,
             device_noise_model(device, error_reduction_factor=1000),
@@ -154,7 +153,7 @@ class TestCompilationPipeline:
         memory = ClassicalMemory.random(4, rng=23)
         sqc = SequentialQueryCircuit(memory=memory)
         virtual = VirtualQRAM(memory=memory, qram_width=2)
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
         for address in range(memory.size):
             sqc_out = simulator.run(sqc.build_circuit(), sqc.input_state({address: 1.0}))
             virtual_out = simulator.run(

@@ -13,7 +13,7 @@ import pytest
 from repro.circuit import Instruction, QuantumCircuit
 from repro.mapping import HTreeEmbedding, verify_topological_minor
 from repro.qram import ClassicalMemory, VirtualQRAM
-from repro.sim import FeynmanPathSimulator
+from repro.sim import get_engine
 from repro.sim.fidelity import reduced_fidelity, state_fidelity
 
 
@@ -33,7 +33,7 @@ class TestCircuitCorruption:
         corrupted = self._corrupted(
             circuit, len(circuit) // 2, Instruction(gate="X", qubits=(architecture.bus_qubit(),))
         )
-        output = FeynmanPathSimulator().run(corrupted, architecture.input_state())
+        output = get_engine().run(corrupted, architecture.input_state())
         ideal = architecture.ideal_output()
         assert state_fidelity(ideal, output) < 0.5
 
@@ -43,7 +43,7 @@ class TestCircuitCorruption:
         corrupted = self._corrupted(
             circuit, len(circuit) // 3, Instruction(gate="X", qubits=(router,))
         )
-        output = FeynmanPathSimulator().run(corrupted, architecture.input_state())
+        output = get_engine().run(corrupted, architecture.input_state())
         ideal = architecture.ideal_output()
         assert reduced_fidelity(ideal, output, architecture.kept_qubits()) < 0.99
 
@@ -53,7 +53,7 @@ class TestCircuitCorruption:
         index = next(i for i, g in enumerate(circuit.instructions) if g.gate == "CSWAP")
         corrupted = circuit.copy()
         del corrupted.instructions[index]
-        output = FeynmanPathSimulator().run(corrupted, architecture.input_state())
+        output = get_engine().run(corrupted, architecture.input_state())
         ideal = architecture.ideal_output()
         assert state_fidelity(ideal, output) < 1.0 - 1e-6
 
@@ -64,7 +64,7 @@ class TestCircuitCorruption:
         wrong = VirtualQRAM(
             memory=ClassicalMemory.from_values(flipped_values), qram_width=2
         )
-        output = FeynmanPathSimulator().run(
+        output = get_engine().run(
             architecture.build_circuit(), architecture.input_state()
         )
         assert state_fidelity(wrong.ideal_output(), output) < 0.5

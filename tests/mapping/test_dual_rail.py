@@ -22,11 +22,11 @@ from repro.mapping.dual_rail import (
     rail_pair,
 )
 from repro.sim import (
-    FeynmanPathSimulator,
     GateNoiseModel,
     NoiselessModel,
     PathState,
     PauliChannel,
+    query_fidelities,
 )
 from repro.sim.engine import get_engine
 from repro.sim.fidelity import shot_fidelities
@@ -172,7 +172,7 @@ class TestZeroNoiseAcceptance:
         expansion = encode_dual_rail(circuit, flag_rounds=1)
         state = PathState.register_superposition(3, [0, 1])
         ideal = get_engine("feynman-tape").run(circuit, state)
-        result = FeynmanPathSimulator(engine=engine).query_fidelities(
+        result = query_fidelities(
             expansion.circuit,
             expansion.map_state(state),
             NoiselessModel(),
@@ -181,6 +181,7 @@ class TestZeroNoiseAcceptance:
             ideal_output=expansion.map_state(ideal),
             rng=np.random.default_rng(11),
             postselect=expansion.postselect,
+            engine=engine,
         )
         assert result.kept_fraction == 1.0
         assert result.kept_shots == 16
@@ -195,7 +196,7 @@ class TestErasureDetection:
         expansion = encode_dual_rail(circuit)
         state = PathState.register_superposition(2, [0])
         ideal = get_engine("feynman-tape").run(circuit, state)
-        return FeynmanPathSimulator(engine="feynman-tape").query_fidelities(
+        return query_fidelities(
             expansion.circuit,
             expansion.map_state(state),
             noise,
@@ -204,6 +205,7 @@ class TestErasureDetection:
             ideal_output=expansion.map_state(ideal),
             rng=np.random.default_rng(5),
             postselect=expansion.postselect if postselect else None,
+            engine="feynman-tape",
         )
 
     def test_bit_flips_are_rejected_not_kept(self):

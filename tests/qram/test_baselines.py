@@ -12,7 +12,7 @@ from repro.qram import (
     SequentialQueryCircuit,
     VirtualQRAM,
 )
-from repro.sim import FeynmanPathSimulator
+from repro.sim import get_engine
 from tests.conftest import memory_strategy
 
 ROUTER_ARCHITECTURES = [BucketBrigadeQRAM, FanoutQRAM, SelectSwapQRAM]
@@ -58,7 +58,7 @@ class TestRouterBaselinesCorrectness:
 
     def test_single_address_queries(self, architecture_cls, small_memory):
         architecture = architecture_cls(memory=small_memory, qram_width=2)
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
         for address in range(small_memory.size):
             state = architecture.input_state({address: 1.0})
             output = simulator.run(architecture.build_circuit(), state)

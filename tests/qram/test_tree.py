@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuit import QuantumCircuit, QubitAllocator
 from repro.qram.tree import RouterTree
-from repro.sim import FeynmanPathSimulator, PathState
+from repro.sim import PathState, get_engine
 
 
 def _make_tree(depth: int, **kwargs) -> tuple[RouterTree, QubitAllocator]:
@@ -63,7 +63,7 @@ class TestRoutingBehaviour:
 
     def test_marker_lands_on_addressed_leaf(self):
         """After loading address bits, the |1> marker must reach leaf[address]."""
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
         depth = 3
         for address in range(1 << depth):
             allocator = QubitAllocator()
@@ -82,7 +82,7 @@ class TestRoutingBehaviour:
             assert bool(leaf_bits[address])
 
     def test_marker_round_trip_restores_all_zero(self):
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
         depth = 3
         allocator = QubitAllocator()
         address_register = allocator.register("address", depth)
@@ -102,7 +102,7 @@ class TestRoutingBehaviour:
         assert not output.bits[:, non_address].any()
 
     def test_route_leaves_to_root_brings_addressed_leaf_value_up(self):
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
         depth = 2
         data = (1, 0, 1, 1)
         for address in range(4):
@@ -123,7 +123,7 @@ class TestRoutingBehaviour:
             assert bool(output.bits[0, tree.root_wire]) == bool(data[address])
 
     def test_accumulate_to_root_xors_leaf_contributions(self):
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
         depth = 3
         allocator = QubitAllocator()
         tree = RouterTree(depth=depth, allocator=allocator)
@@ -139,7 +139,7 @@ class TestRoutingBehaviour:
         assert bool(output.bits[0, tree.root_accumulator])
 
     def test_accumulate_then_unaccumulate_is_identity(self):
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
         depth = 3
         allocator = QubitAllocator()
         tree = RouterTree(depth=depth, allocator=allocator)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.qram import ClassicalMemory, VirtualQRAM, VirtualQRAMOptions
-from repro.sim import FeynmanPathSimulator, StatevectorSimulator
+from repro.sim import StatevectorSimulator, get_engine
 from tests.conftest import memory_strategy
 
 
@@ -43,7 +43,7 @@ class TestFunctionalCorrectness:
     def test_every_single_address_query(self, small_memory):
         """Querying each address individually returns exactly that cell's bit."""
         architecture = VirtualQRAM(memory=small_memory, qram_width=2)
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
         for address in range(small_memory.size):
             state = architecture.input_state({address: 1.0})
             output = simulator.run(architecture.build_circuit(), state)
@@ -54,7 +54,7 @@ class TestFunctionalCorrectness:
         architecture = VirtualQRAM(memory=tiny_memory, qram_width=1)
         circuit = architecture.build_circuit()
         state = architecture.input_state()
-        path_output = FeynmanPathSimulator().run(circuit, state)
+        path_output = get_engine().run(circuit, state)
         dense_output = StatevectorSimulator().run(circuit, state)
         assert np.allclose(path_output.to_statevector(), dense_output)
 
@@ -180,7 +180,7 @@ class TestOptimizationEffects:
     def test_lazy_and_eager_build_equivalent_unitaries(self):
         """Lazy data swapping must not change the query semantics, only the count."""
         memory = ClassicalMemory.random(4, rng=9)
-        simulator = FeynmanPathSimulator()
+        simulator = get_engine()
         eager = VirtualQRAM(
             memory=memory, qram_width=2,
             options=VirtualQRAMOptions(lazy_data_swapping=False),

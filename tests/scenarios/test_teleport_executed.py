@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.scenarios import available_scenarios, get_scenario, run_scenario
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.run import scenario_report
-from repro.sim.feynman import FeynmanPathSimulator
+from repro.sim import query_fidelities
 from repro.sim.noise import NoiselessModel
 from repro.sim.seeding import ShotSeeds
 
@@ -73,7 +73,7 @@ class TestCompile:
 class TestZeroNoiseExactness:
     @pytest.mark.parametrize("engine", ["feynman-tape", "feynman-interp"])
     def test_every_shot_fidelity_is_exactly_one(self, executed, engine):
-        result = FeynmanPathSimulator(engine=engine).query_fidelities(
+        result = query_fidelities(
             executed.circuit,
             executed.input_state,
             NoiselessModel(),
@@ -81,12 +81,13 @@ class TestZeroNoiseExactness:
             keep_qubits=list(executed.keep_qubits),
             ideal_output=executed.ideal_output,
             rng=ShotSeeds(seed=SEED),
+            engine=engine,
         )
         assert result.fidelities == pytest.approx(np.ones(16))
 
     def test_matches_analytic_at_zero_noise(self, executed, analytic):
         for compiled in (executed, analytic):
-            result = FeynmanPathSimulator().query_fidelities(
+            result = query_fidelities(
                 compiled.circuit,
                 compiled.input_state,
                 NoiselessModel(),

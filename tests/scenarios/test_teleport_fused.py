@@ -26,7 +26,7 @@ from repro.circuit.ir import compile_circuit, get_max_branches
 from repro.circuit.scheduling import idle_slack
 from repro.scenarios import available_scenarios, get_scenario, run_scenario
 from repro.scenarios.compile import compile_scenario
-from repro.sim.feynman import FeynmanPathSimulator
+from repro.sim import query_fidelities
 from repro.sim.noise import NoiselessModel
 from repro.sim.seeding import ShotSeeds
 
@@ -106,7 +106,7 @@ class TestZeroNoiseExactness:
         "engine", ["feynman-tape", "feynman-interp", "feynman-batch"]
     )
     def test_every_shot_fidelity_is_exactly_one(self, fused, engine):
-        result = FeynmanPathSimulator(engine=engine).query_fidelities(
+        result = query_fidelities(
             fused.circuit,
             fused.input_state,
             NoiselessModel(),
@@ -114,12 +114,13 @@ class TestZeroNoiseExactness:
             keep_qubits=list(fused.keep_qubits),
             ideal_output=fused.ideal_output,
             rng=ShotSeeds(seed=SEED),
+            engine=engine,
         )
         assert result.fidelities == pytest.approx(np.ones(16))
 
     def test_matches_analytic_at_zero_noise(self, fused, analytic):
         for compiled in (fused, analytic):
-            result = FeynmanPathSimulator().query_fidelities(
+            result = query_fidelities(
                 compiled.circuit,
                 compiled.input_state,
                 NoiselessModel(),

@@ -6,6 +6,7 @@ and service-logic tests drive :class:`~repro.server.ScenarioService`
 directly, without a socket.
 """
 
+import http.client
 import json
 import time
 import urllib.error
@@ -255,6 +256,23 @@ def test_out_of_range_seed_over_a_real_socket(server):
         "error",
         "invalid_request",
     )
+
+
+def test_kept_alive_connection_does_not_stall(server):
+    """Ten GETs on one connection: no per-response wait on a delayed ACK."""
+    host, port = server.httpd.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        start = time.perf_counter()
+        for _ in range(10):
+            connection.request("GET", f"{API_PREFIX}/scenarios")
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+        elapsed = time.perf_counter() - start
+    finally:
+        connection.close()
+    assert elapsed < 0.2
 
 
 class TestBinaryArtefactRoute:

@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
-from repro.sim import FeynmanPathSimulator, PathState, ShotSeeds
+from repro.sim import PathState, ShotSeeds
 from repro.sim.engine import get_engine
 from tests.conftest import gate_noise_models
 
@@ -206,7 +206,7 @@ class TestShotSeedsBitIdentity:
         circuit, noise, seed, shots, split = instance
         state = _superposition_input(circuit)
         for name in FEYNMAN_ENGINES:
-            sim = FeynmanPathSimulator(engine=name)
+            sim = get_engine(name)
             bits_all, amps_all = sim.run_noisy_shots(
                 circuit, state, noise, shots, rng=ShotSeeds(seed=seed)
             )

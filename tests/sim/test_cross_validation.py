@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FeynmanPathSimulator, PathState, StatevectorSimulator
+from repro.sim import PathState, StatevectorSimulator, get_engine
 from tests.conftest import random_reversible_circuits
 
 
@@ -30,7 +30,7 @@ class TestPathVersusStatevector:
     @given(random_reversible_circuits(max_qubits=6, max_gates=20), st.integers(0, 10**6))
     def test_same_output_state(self, circuit, seed):
         state = _random_input(circuit.num_qubits, num_paths=4, seed=seed)
-        path_output = FeynmanPathSimulator().run(circuit, state)
+        path_output = get_engine().run(circuit, state)
         dense_output = StatevectorSimulator().run(circuit, state)
         assert np.allclose(path_output.to_statevector(), dense_output, atol=1e-9)
 
@@ -38,7 +38,7 @@ class TestPathVersusStatevector:
     @given(random_reversible_circuits(max_qubits=5, max_gates=15))
     def test_norm_preserved_by_path_simulation(self, circuit):
         state = _random_input(circuit.num_qubits, num_paths=3, seed=11)
-        output = FeynmanPathSimulator().run(circuit, state)
+        output = get_engine().run(circuit, state)
         assert np.isclose(output.norm(), 1.0)
 
     @settings(max_examples=30, deadline=None)
@@ -47,7 +47,7 @@ class TestPathVersusStatevector:
         """The uniform-superposition input used by the QRAM experiments."""
         register = list(range(min(3, circuit.num_qubits)))
         state = PathState.register_superposition(circuit.num_qubits, register)
-        path_output = FeynmanPathSimulator().run(circuit, state)
+        path_output = get_engine().run(circuit, state)
         dense_output = StatevectorSimulator().run(circuit, state)
         assert np.allclose(path_output.to_statevector(), dense_output, atol=1e-9)
 
@@ -65,6 +65,6 @@ class TestNoiseInjectionEquivalence:
             circuit, GateNoiseModel(PauliChannel(p_x=0.1, p_z=0.1)), rng
         )
         state = _random_input(circuit.num_qubits, num_paths=4, seed=seed + 1)
-        path_output = FeynmanPathSimulator().run(noisy, state)
+        path_output = get_engine().run(noisy, state)
         dense_output = StatevectorSimulator().run(noisy, state)
         assert np.allclose(path_output.to_statevector(), dense_output, atol=1e-9)

@@ -26,10 +26,9 @@ from repro.scenarios.run import resolve_run, run_scenario
 from repro.sim import (
     DepolarizingNoise,
     Engine,
-    FeynmanPathSimulator,
     GateNoiseModel,
-    NoiselessModel,
     NoiseModel,
+    NoiselessModel,
     PathState,
     PauliChannel,
     ShotSeeds,
@@ -37,6 +36,7 @@ from repro.sim import (
     available_engines,
     get_default_engine,
     get_engine,
+    query_fidelities,
     set_default_engine,
 )
 from tests.conftest import assert_shots_match_oracle, random_reversible_circuits
@@ -338,8 +338,8 @@ class TestEngineErrors:
         state = PathState.from_basis_assignments(
             [({0: 1}, np.sqrt(0.5)), ({1: 1}, np.sqrt(0.5))], 2
         )
-        result = FeynmanPathSimulator(engine="statevector").query_fidelities(
-            circuit, state, NoiselessModel(), shots=3
+        result = query_fidelities(
+            circuit, state, NoiselessModel(), shots=3, engine="statevector"
         )
         assert result.fidelities == pytest.approx(np.ones(3))
 
@@ -412,20 +412,26 @@ class TestMeasuredNoiselessRuns:
         assert np.array_equal(outputs[0].amplitudes, outputs[1].amplitudes)
 
 
-class TestFacade:
-    def test_simulator_accepts_engine_instances(self, memory):
+class TestEngineResolution:
+    def test_get_engine_accepts_engine_instances(self, memory):
         architecture = make_architecture("virtual", memory, qram_width=2)
         circuit = architecture.build_circuit()
         state = architecture.input_state()
         engine = get_engine("feynman-tape")
-        out = FeynmanPathSimulator(engine=engine).run(circuit, state)
-        assert _amplitudes_match(out, FeynmanPathSimulator().run(circuit, state))
+        out = get_engine(engine).run(circuit, state)
+        assert _amplitudes_match(out, get_engine().run(circuit, state))
 
-    def test_default_engine_change_affects_existing_simulators(self):
-        simulator = FeynmanPathSimulator()
+    def test_default_engine_change_affects_later_queries(self):
+        # ``engine=None`` resolves the session default at call time, so a
+        # noisy query fails once the noiseless-only dense engine is default.
+        circuit = QuantumCircuit(1)
+        circuit.x(0)
+        state = PathState.from_basis_assignments([({}, 1.0)], 1)
+        noise = GateNoiseModel(PauliChannel.bit_flip(0.1))
         previous = get_default_engine()
         try:
             set_default_engine("statevector")
-            assert simulator._resolve_engine().name == "statevector"
+            with pytest.raises(NotImplementedError, match="Monte-Carlo"):
+                query_fidelities(circuit, state, noise, 4)
         finally:
             set_default_engine(previous)

@@ -5,18 +5,20 @@ import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.sim import (
-    FeynmanPathSimulator,
+    Engine,
     GateNoiseModel,
     NoiselessModel,
     PathState,
     PauliChannel,
     UnsupportedGateError,
+    get_engine,
+    query_fidelities,
 )
 
 
 @pytest.fixture
-def simulator() -> FeynmanPathSimulator:
-    return FeynmanPathSimulator()
+def simulator() -> Engine:
+    return get_engine()
 
 
 def _single_path(num_qubits: int, **assignment) -> PathState:
@@ -118,41 +120,41 @@ class TestSuperpositionHandling:
 
 
 class TestNoisyShots:
-    def test_noiseless_model_gives_unit_fidelity(self, simulator):
+    def test_noiseless_model_gives_unit_fidelity(self):
         circuit = QuantumCircuit(3)
         circuit.cx(0, 1)
         circuit.ccx(0, 1, 2)
         state = PathState.register_superposition(3, register=[0, 1])
-        result = simulator.query_fidelities(
+        result = query_fidelities(
             circuit, state, NoiselessModel(), shots=8, rng=np.random.default_rng(0)
         )
         assert np.allclose(result.fidelities, 1.0)
         assert result.mean_fidelity == pytest.approx(1.0)
         assert result.std_error == pytest.approx(0.0)
 
-    def test_certain_bit_flip_gives_zero_fidelity(self, simulator):
+    def test_certain_bit_flip_gives_zero_fidelity(self):
         """With p_x = 1 the single gate's operand is always flipped afterwards,
         so the output basis state never matches the ideal one."""
         circuit = QuantumCircuit(2)
         circuit.x(0)
         state = _single_path(2)
         noise = GateNoiseModel(PauliChannel(p_x=1.0))
-        result = simulator.query_fidelities(
+        result = query_fidelities(
             circuit, state, noise, shots=16, rng=np.random.default_rng(1)
         )
         assert result.mean_fidelity == pytest.approx(0.0)
 
-    def test_fidelity_decreases_with_error_rate(self, simulator):
+    def test_fidelity_decreases_with_error_rate(self):
         circuit = QuantumCircuit(4)
         for _ in range(5):
             circuit.cx(0, 1)
             circuit.ccx(1, 2, 3)
         state = PathState.register_superposition(4, register=[0, 1])
         rng = np.random.default_rng(7)
-        low = simulator.query_fidelities(
+        low = query_fidelities(
             circuit, state, GateNoiseModel(PauliChannel.bit_flip(1e-3)), 256, rng=rng
         )
-        high = simulator.query_fidelities(
+        high = query_fidelities(
             circuit, state, GateNoiseModel(PauliChannel.bit_flip(5e-2)), 256, rng=rng
         )
         assert high.mean_fidelity < low.mean_fidelity
@@ -172,7 +174,7 @@ class TestNoisyShots:
         noise = GateNoiseModel(PauliChannel(p_x=0.05, p_z=0.05))
         keep = [0, 2]
 
-        fast = simulator.query_fidelities(
+        fast = query_fidelities(
             circuit, state, noise, shots=3000, keep_qubits=keep,
             rng=np.random.default_rng(3),
         )

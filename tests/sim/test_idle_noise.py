@@ -11,20 +11,19 @@ per-shot seeding contract (sharding- and engine-invariant).
 import numpy as np
 import pytest
 
-from repro.circuit import QuantumCircuit, circuit_depth, idle_slack
+from repro.circuit import QuantumCircuit, circuit_depth, compile_circuit, idle_slack
 from repro.sim import (
-    FeynmanPathSimulator,
     NoiselessModel,
     PathState,
     ShotSeeds,
+    get_engine,
+    query_fidelities,
     with_idle_noise,
 )
 from repro.sim.noise import (
     GateNoiseModel,
     PauliChannel,
     ScheduledNoiseModel,
-    expected_error_insertions,
-    iter_error_sites,
 )
 
 
@@ -86,9 +85,9 @@ class TestWithIdleNoise:
             NoiselessModel(), circuit, PauliChannel.phase_flip(0.1)
         )
         assert isinstance(model, ScheduledNoiseModel)
-        sites = list(iter_error_sites(circuit, model))
-        assert len(sites) == idle_slack(circuit).total_idle_layers
-        assert expected_error_insertions(circuit, model) == pytest.approx(0.6)
+        sites = compile_circuit(circuit).noise_sites(model)
+        assert sites.n_sites == idle_slack(circuit).total_idle_layers
+        assert sum(channel.p_total for channel in sites.channels) == pytest.approx(0.6)
 
     def test_positional_model_rejects_unindexed_enumeration(self):
         circuit = _busy_idle_circuit(2)
@@ -105,7 +104,7 @@ class TestWithIdleNoise:
         )
         longer = _busy_idle_circuit(5)
         with pytest.raises(ValueError):
-            FeynmanPathSimulator().run_noisy_shots(
+            get_engine().run_noisy_shots(
                 longer,
                 PathState.register_superposition(2, [1]),
                 model,
@@ -142,13 +141,14 @@ class TestAnalyticExpectation:
             NoiselessModel(), circuit, PauliChannel.phase_flip(self.P_IDLE)
         )
         state = PathState.register_superposition(2, [1])
-        result = FeynmanPathSimulator(engine=engine).query_fidelities(
+        result = query_fidelities(
             circuit,
             state,
             model,
             self.SHOTS,
             keep_qubits=[1],
             rng=ShotSeeds(seed=99),
+            engine=engine,
         )
         expected = self.closed_form()
         # Bernoulli standard error at the expected survival probability.
@@ -159,12 +159,11 @@ class TestAnalyticExpectation:
         """Sanity direction check: adding idle noise lowers mean fidelity."""
         circuit = _busy_idle_circuit(self.DEPTH)
         state = PathState.register_superposition(2, [1])
-        sim = FeynmanPathSimulator()
-        noiseless = sim.query_fidelities(
+        noiseless = query_fidelities(
             circuit, state, NoiselessModel(), 200, keep_qubits=[1],
             rng=ShotSeeds(seed=7),
         )
-        noisy = sim.query_fidelities(
+        noisy = query_fidelities(
             circuit,
             state,
             with_idle_noise(
@@ -203,7 +202,7 @@ def _idle_shard_worker(p_idle: float, shard) -> np.ndarray:
         NoiselessModel(), circuit, PauliChannel.phase_flip(p_idle)
     )
     state = PathState.register_superposition(2, [1])
-    result = FeynmanPathSimulator().query_fidelities(
+    result = query_fidelities(
         circuit, state, model, shard.shots, keep_qubits=[1], rng=shard.seeds()
     )
     return result.fidelities

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from repro.circuit import QuantumCircuit
 from repro.mapping.dual_rail import encode_dual_rail
 from repro.sim import (
-    FeynmanPathSimulator,
     GateNoiseModel,
     NoiselessModel,
     PathState,
     PauliChannel,
+    query_fidelities,
 )
 from repro.sim.engine import get_engine
 from repro.sim.feynman import QueryResult
@@ -111,13 +111,14 @@ class TestRecordedRuns:
         circuit.cx(0, 1)
         state = PathState.register_superposition(2, [0])
         with pytest.raises(ValueError, match="no measurement outcomes"):
-            FeynmanPathSimulator(engine="feynman-batch").query_fidelities(
+            query_fidelities(
                 circuit,
                 state,
                 NoiselessModel(),
                 shots=4,
                 rng=np.random.default_rng(0),
                 postselect=((0, 1),),
+                engine="feynman-batch",
             )
 
 
@@ -197,13 +198,14 @@ class TestQueryResultEdges:
         circuit = QuantumCircuit(1)
         circuit.measure(0)  # |0> always measures 0; demand 1
         state = PathState.from_basis_assignments([({}, 1.0)], 1)
-        result = FeynmanPathSimulator(engine="feynman-tape").query_fidelities(
+        result = query_fidelities(
             circuit,
             state,
             NoiselessModel(),
             shots=8,
             rng=np.random.default_rng(2),
             postselect=((0, 1),),
+            engine="feynman-tape",
         )
         assert result.kept_fraction == 0.0
         assert np.isnan(result.mean_fidelity)

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
 from repro.sim import (
-    FeynmanPathSimulator,
     PathState,
     ShotSeeds,
     StatevectorSimulator,
+    get_engine,
     with_idle_noise,
 )
 from repro.sim.noise import PauliChannel, ScheduledNoiseModel
@@ -123,7 +123,7 @@ class TestSeededShotsMatchDenseOracle:
         """Any split of the shot range reproduces the unsharded draw."""
         state = _superposition_input(circuit)
         shots = 6
-        sim = FeynmanPathSimulator(engine="feynman-tape")
+        sim = get_engine("feynman-tape")
         bits_all, amps_all = sim.run_noisy_shots(
             circuit, state, noise, shots, rng=ShotSeeds(seed=seed)
         )
@@ -146,5 +146,5 @@ class TestNoiselessStatevectorAgreement:
         """Noiseless Feynman runs reproduce statevector amplitudes exactly."""
         state = _superposition_input(circuit)
         dense = StatevectorSimulator().run(circuit, state)
-        output = FeynmanPathSimulator(engine="feynman-tape").run(circuit, state)
+        output = get_engine("feynman-tape").run(circuit, state)
         assert np.allclose(output.to_statevector(), dense, atol=1e-9)

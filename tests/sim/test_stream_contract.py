@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from repro.circuit import compile_circuit
 from repro.qram import VirtualQRAM
 from repro.sim import (
-    FeynmanPathSimulator,
     GateNoiseModel,
     PathState,
     PauliChannel,
     ShotSeeds,
     get_engine,
+    query_fidelities,
     sample_noisy_circuit,
 )
 from repro.sim.noise import PAULI_I, ScheduledNoiseModel
@@ -98,7 +98,7 @@ class TestEveryRngFlavourAccepted:
     @pytest.mark.parametrize("rng", _accepted_rngs())
     def test_run_noisy_shots_recorded(self, qram, rng):
         compiled = qram.compiled_query()
-        bits, _, outcomes = FeynmanPathSimulator().run_noisy_shots_recorded(
+        bits, _, outcomes = get_engine().run_noisy_shots_recorded(
             compiled.circuit, compiled.input_state, NOISE, 6, rng=rng
         )
         assert bits.shape[0] == 6 * 8
@@ -107,7 +107,7 @@ class TestEveryRngFlavourAccepted:
     @pytest.mark.parametrize("rng", _accepted_rngs())
     def test_query_fidelities(self, qram, rng):
         compiled = qram.compiled_query()
-        result = FeynmanPathSimulator().query_fidelities(
+        result = query_fidelities(
             compiled.circuit, compiled.input_state, NOISE, 6, rng=rng
         )
         assert result.shots == 6
@@ -228,7 +228,7 @@ class TestSampledCircuitReference:
                     gate += 1
             assert inserted == expected
             # The sampled circuit, run noiselessly, is the engine's shot.
-            replay = FeynmanPathSimulator().run(noisy, state)
+            replay = get_engine().run(noisy, state)
             block = slice(shot * n_paths, (shot + 1) * n_paths)
             assert np.array_equal(replay.bits, bits[block])
             assert np.allclose(replay.amplitudes, amps[block], rtol=0, atol=1e-12)

@@ -23,7 +23,7 @@ import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.circuit.ir import compile_circuit
-from repro.sim import FeynmanPathSimulator, PathState, ShotSeeds
+from repro.sim import PathState, ShotSeeds, get_engine
 from repro.sim.noise import GateNoiseModel, PauliChannel
 from repro.sim.seeding import draw_shot_randomness
 
@@ -125,7 +125,7 @@ class TestRandomStreamGolden:
     def test_golden_trajectory(self, engine):
         """Every engine reproduces the committed trajectory bit for bit."""
         state = PathState.register_superposition(3, [2])
-        bits, amps = FeynmanPathSimulator(engine=engine).run_noisy_shots(
+        bits, amps = get_engine(engine).run_noisy_shots(
             _branching_circuit(), state, _noise(), SHOTS, rng=ShotSeeds(seed=SEED)
         )
         np.testing.assert_array_equal(

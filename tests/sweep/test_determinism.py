@@ -22,7 +22,7 @@ from repro.sim import (
     ShotSeeds,
     available_engines,
 )
-from repro.sweep import ShotShard, SweepRunner
+from repro.sweep import ShotShard, SweepRunner, split_shots
 from tests.conftest import assert_shots_match_oracle
 
 SHOTS = 12
@@ -111,7 +111,8 @@ class TestAutomaticShardSizeIsInvariant:
     )
     def test_matches_explicit_shard_size(self, workers, units):
         runner = SweepRunner(workers=workers)
-        assert [s.shots for s in runner.shards(self.AUTO_SHOTS, seed=SEED)] == units
+        plan = split_shots(self.AUTO_SHOTS, runner.shard_size_for(self.AUTO_SHOTS))
+        assert [count for _, count in plan] == units
         reference = self._sweep(workers=1, shard_size=7)
         merged = self._sweep(workers=workers, shard_size=None)
         assert len(merged) == len(reference) == 2

@@ -10,6 +10,7 @@ from repro.sweep import (
     ShotShard,
     SweepRunner,
     resolve_workers,
+    split_shots,
 )
 
 
@@ -73,10 +74,11 @@ class TestSweepRunner:
 
     def test_shards_cover_the_shot_range(self):
         runner = SweepRunner(workers=1, shard_size=4)
-        shards = runner.shards(10, seed=9, point_index=5)
-        assert [(s.start, s.shots) for s in shards] == [(0, 4), (4, 4), (8, 2)]
-        assert all(s.point_index == 5 and s.seed == 9 for s in shards)
-        assert [s.shard_index for s in shards] == [0, 1, 2]
+        assert split_shots(10, runner.shard_size_for(10)) == [(0, 4), (4, 4), (8, 2)]
+        # Every unit carries its point index, its shard index and the seed.
+        results = runner.map_shards(_unit_fields, [None, None], shots=10, seed=9)
+        expected = [109.0] * 4 + [119.0] * 4 + [129.0] * 2
+        assert results[1].fidelities.tolist() == expected
 
     @pytest.mark.parametrize(
         ("workers", "shard_size", "shots", "expected"),
@@ -122,15 +124,6 @@ class TestSweepRunner:
             np.array([2.0, 2.0, 2.002, 2.002, 2.004]),
         )
 
-    def test_map_shards_point_offset_shifts_seeding(self):
-        runner = SweepRunner(workers=1, shard_size=8)
-        base = runner.map_shards(_point_echo, [None, None], shots=4, seed=0)
-        off = runner.map_shards(
-            _point_echo, [None, None], shots=4, seed=0, point_offset=7
-        )
-        assert [r.fidelities[0] for r in base] == [0, 1]
-        assert [r.fidelities[0] for r in off] == [7, 8]
-
     def test_map_shards_merges_automatic_units(self):
         results = SweepRunner(workers=1).map_shards(
             _shard_signature, [1, 2], shots=300, seed=0
@@ -152,5 +145,8 @@ def _bad_length(spec, shard):
     return np.zeros(shard.shots + 1)
 
 
-def _point_echo(spec, shard):
-    return np.full(shard.shots, float(shard.point_index))
+def _unit_fields(spec, shard):
+    """Encode the unit's point index, shard index and seed as its fidelities."""
+    return np.full(
+        shard.shots, 100.0 * shard.point_index + 10.0 * shard.shard_index + shard.seed
+    )
