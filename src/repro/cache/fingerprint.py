@@ -25,9 +25,12 @@ from repro.scenarios.record import RECORD_SCHEMA_VERSION
 from repro.scenarios.spec import ScenarioSpec
 
 #: Version of the fingerprint recipe itself (what is hashed, and how).
-#: Bump whenever the canonical serialization or the input set changes, so
-#: artefacts written under the old recipe can never be returned as hits.
-CACHE_SCHEMA_VERSION = 1
+#: Bump whenever the canonical serialization, the input set or the meaning of
+#: an input changes, so artefacts written under the old recipe can never be
+#: returned as hits.  Version 2: the ``seed`` keys the SplitMix64 shot
+#: streams of :class:`repro.sim.seeding.ShotSeeds` (version 1 keyed NumPy
+#: ``SeedSequence`` streams), so the same inputs give different records.
+CACHE_SCHEMA_VERSION = 2
 
 
 def canonical_spec(spec: ScenarioSpec) -> dict[str, object]:

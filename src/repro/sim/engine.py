@@ -327,9 +327,10 @@ class Engine:
         ``rng`` is resolved to a :class:`~repro.sim.seeding.ShotSeeds` window
         (:func:`~repro.sim.seeding.as_shot_seeds`: an int seed, a generator
         that contributes one seed, ``None`` for fresh entropy, or the window
-        itself).  Every shot draws its randomness from its own
-        ``SeedSequence``-derived stream, so the result is invariant under
-        any sharding of the shot range.  This is
+        itself).  Every shot draws its randomness from its own SplitMix64
+        row (:meth:`~repro.sim.seeding.ShotSeeds.uniforms`), keyed on the
+        shot's absolute index, so the result is invariant under any sharding
+        of the shot range.  This is
         :meth:`run_noisy_shots_recorded` without the register.
         """
         bits, amps, _ = self.run_noisy_shots_recorded(

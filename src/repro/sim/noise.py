@@ -384,12 +384,13 @@ def sample_noisy_circuit(
     :class:`~repro.circuit.circuit.QuantumCircuit` know to skip them.
 
     Gate-based models draw one uniform per non-trivial site, in the engines'
-    noise-site order, through :meth:`PauliChannel.sample_thresholded`.  For a
-    measurement-free circuit, ``sample_noisy_circuit(circuit, noise,
-    seeds.generator(s))`` therefore inserts exactly the Paulis the Feynman
-    engines apply to shot ``s`` of a run under the
-    :class:`~repro.sim.seeding.ShotSeeds` window ``seeds`` -- an independent
-    reference for the engines' random-stream contract.
+    noise-site order, through :meth:`PauliChannel.sample_thresholded`.  Fed
+    a reader that hands out shot ``s``'s site uniforms -- the row
+    ``seeds.uniforms(s, 1, width)[0]`` after its measurement uniforms -- it
+    therefore inserts exactly the Paulis the Feynman engines apply to shot
+    ``s`` of a run under the :class:`~repro.sim.seeding.ShotSeeds` window
+    ``seeds``: an independent reference for the engines' random-stream
+    contract.
     """
     from repro.circuit.circuit import QuantumCircuit
 

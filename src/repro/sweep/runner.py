@@ -10,12 +10,11 @@ merging shard results back into the existing result dataclasses
 
 Determinism is the design constraint.  Work units carry a
 :class:`~repro.sim.seeding.ShotSeeds` window, so every shot's random stream
-is keyed on ``(seed, point_index, shot_index)`` via
-``numpy.random.SeedSequence`` spawn keys -- never on the shard it landed in
-or the worker that ran it.  Merged fidelities are therefore bit-identical
-for **any** ``workers`` and **any** ``shard_size``, which is what lets CI run
-the same sweep at ``--workers 1`` and ``--workers 4`` and diff the artefacts
-byte for byte.
+is a stateless SplitMix64 hash of ``(seed, point_index, shot_index)`` --
+never of the shard it landed in or the worker that ran it.  Merged
+fidelities are therefore bit-identical for **any** ``workers`` and **any**
+``shard_size``, which is what lets CI run the same sweep at ``--workers 1``
+and ``--workers 4`` and diff the artefacts byte for byte.
 
 The shard size is therefore free to follow the work.  Unless the caller
 fixes it, :meth:`SweepRunner.shard_size_for` sizes each point's units from

@@ -102,6 +102,30 @@ class TestKeying:
         )
         assert cache.fingerprints() == [expected]
 
+    def test_version_1_entry_reads_as_a_miss(self, cache, monkeypatch):
+        """Entries written before the shot-stream change are never served."""
+        import repro.cache.fingerprint as fp_module
+        import repro.cache.store as store_module
+
+        with monkeypatch.context() as version_1:
+            version_1.setattr(fp_module, "CACHE_SCHEMA_VERSION", 1)
+            version_1.setattr(store_module, "CACHE_SCHEMA_VERSION", 1)
+            run_scenario("ideal-m3", shots=SHOTS, seed=SEED, workers=1, cache=cache)
+        (stale,) = cache.fingerprints()
+        assert json.loads(cache.path_for(stale).read_text())["schema_version"] == 1
+        executed = []
+        map_shards = run_module.SweepRunner.map_shards
+
+        def counting(runner, *args, **kwargs):
+            executed.append(True)
+            return map_shards(runner, *args, **kwargs)
+
+        monkeypatch.setattr(run_module.SweepRunner, "map_shards", counting)
+        run_scenario("ideal-m3", shots=SHOTS, seed=SEED, workers=1, cache=cache)
+        assert executed
+        assert stale in cache.fingerprints()
+        assert len(cache.fingerprints()) == 2
+
     def test_records_stamp_resolved_engine_and_router(self, cache):
         records = run_scenario(
             "ideal-m3", shots=SHOTS, seed=SEED, workers=1, cache=cache

@@ -13,6 +13,7 @@ from repro.circuit.ir import (
 )
 from repro.sim import GateNoiseModel, NoiselessModel, PauliChannel, ShotSeeds
 from repro.sim.seeding import draw_shot_randomness
+from tests.conftest import FixedUniforms
 
 
 def _example_circuit() -> QuantumCircuit:
@@ -153,7 +154,7 @@ class TestNoiseSites:
     def test_draw_column_matches_per_site_sampling(self):
         # Mixed channels (two_qubit_factor != 1) force several channel runs;
         # column ``s`` of the block draw must equal sequential per-site
-        # draws from shot ``s``'s generator -- the property the tape
+        # draws reading shot ``s``'s row of uniforms -- the property the tape
         # engine's equivalence with the sample_noisy_circuit oracle rests on.
         tape = compile_circuit(_example_circuit())
         noise = GateNoiseModel(
@@ -165,7 +166,7 @@ class TestNoiseSites:
         codes, _ = draw_shot_randomness(sites, seeds, 4)
         assert codes.shape == (sites.n_sites, 4)
         for shot in range(4):
-            sequential_rng = seeds.generator(shot)
+            sequential_rng = FixedUniforms(seeds.uniforms(shot, 1, sites.n_sites)[0])
             manual = np.concatenate(
                 [
                     channel.sample_thresholded(sequential_rng, 1)

@@ -128,16 +128,53 @@ def site_table(channels):
     )
 
 
+class FixedUniforms:
+    """Generator stand-in handing out a fixed sequence of uniforms in order.
+
+    ``random()`` returns one float, ``random(n)`` or ``random(out=a)`` the
+    next ``n`` or ``len(a)`` values; asking for more than remain raises, so a
+    reader that consumes more of a shot's row than the row holds fails.
+    """
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=float)
+        self.cursor = 0
+
+    @property
+    def exhausted(self) -> bool:
+        return self.cursor == len(self._values)
+
+    def _take(self, count: int) -> np.ndarray:
+        if self.cursor + count > len(self._values):
+            raise IndexError(
+                f"read {count} uniforms with {len(self._values) - self.cursor} left"
+            )
+        values = self._values[self.cursor : self.cursor + count]
+        self.cursor += count
+        return values
+
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[:] = self._take(out.shape[0])
+            return out
+        if size is None:
+            return float(self._take(1)[0])
+        return self._take(size).copy()
+
+
 def assert_shots_match_oracle(circuit, state, noise, seeds, shots) -> None:
     """Every shot block of a noisy tape run equals its dense-oracle replay.
 
     Shot ``s`` of a ``feynman-tape`` run under the ``ShotSeeds`` window
     ``seeds`` must equal the ``statevector`` run of
-    ``sample_noisy_circuit(circuit, noise, generator)`` -- the circuit with
+    ``sample_noisy_circuit(circuit, noise, sampler)`` -- the circuit with
     exactly that shot's sampled Paulis inserted in program order -- to
-    ``1e-9`` per basis-state amplitude.  The shot's stream holds its
-    measurement uniforms first, so the sampler starts after them and the
-    dense run reads them from a fresh copy of the stream.  Measured circuits
+    ``1e-9`` per basis-state amplitude.  Both readers are
+    :class:`FixedUniforms` over the shot's row
+    ``seeds.uniforms(s, 1, width)[0]``: the dense run reads the measurement
+    uniforms at its front and ``sampler`` the site uniforms after them, all
+    of which it must consume.  The oracle therefore never sees the site
+    table's threshold mapping or the engine's execution.  Measured circuits
     are exact only where every ``X``-basis measurement has a uniform
     marginal (the teleportation shape; see :mod:`repro.sim.engine`).
     """
@@ -148,15 +185,20 @@ def assert_shots_match_oracle(circuit, state, noise, seeds, shots) -> None:
         circuit, state, noise, shots, rng=seeds
     )
     n_paths = bits.shape[0] // shots
-    n_measurements = compile_circuit(circuit).num_measurements
+    tape = compile_circuit(circuit)
+    n_measurements = tape.num_measurements
+    width = n_measurements + tape.noise_sites(noise).n_sites
     dense = get_engine("statevector")
     for shot in range(shots):
         block = slice(shot * n_paths, (shot + 1) * n_paths)
         got = PathState(bits=bits[block], amplitudes=amps[block]).as_dict()
-        generator = seeds.generator(shot)
-        generator.random(n_measurements)
-        noisy = sample_noisy_circuit(circuit, noise, generator)
-        want = dense.run(noisy, state, rng=seeds.generator(shot)).as_dict()
+        row = seeds.uniforms(shot, 1, width)[0]
+        sampler = FixedUniforms(row[n_measurements:])
+        noisy = sample_noisy_circuit(circuit, noise, sampler)
+        assert sampler.exhausted
+        want = dense.run(
+            noisy, state, rng=FixedUniforms(row[:n_measurements])
+        ).as_dict()
         assert got.keys() == want.keys()
         for key, amplitude in want.items():
             assert abs(got[key] - amplitude) < 1e-9

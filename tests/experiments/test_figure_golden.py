@@ -26,17 +26,17 @@ def test_fig9_golden():
     ]
     assert {r["epsilon"] for r in records} == {1e-3}
     assert _fidelities(records) == [
+        "0x1.f7ffffffffffep-1",
         "0x1.ffffffffffffep-1",
-        "0x1.ffffffffffffep-1",
-        "0x1.efffffffffffep-1",
         "0x1.ffffffffffffep-1",
         "0x1.f7ffffffffffep-1",
         "0x1.ffffffffffffep-1",
+        "0x1.ffffffffffffep-1",
         "0x1.f400000000000p-1",
-        "0x1.ed00000000000p-1",
+        "0x1.f100000000000p-1",
+        "0x1.e600000000000p-1",
+        "0x1.f400000000000p-1",
         "0x1.0000000000000p+0",
-        "0x1.fa00000000000p-1",
-        "0x1.f000000000000p-1",
         "0x1.fa00000000000p-1",
     ]
 
@@ -48,36 +48,36 @@ def test_fig10_golden():
         "0x1.a36e2eb1c432dp-14",
     ]
     assert _fidelities(records) == [
+        "0x1.f7ffffffffffep-1",
         "0x1.ffffffffffffep-1",
         "0x1.f7ffffffffffep-1",
-        "0x1.e7ffffffffffep-1",
-        "0x1.ffffffffffffep-1",
-        "0x1.d200000000000p-1",
-        "0x1.0000000000000p+0",
-        "0x1.fa00000000000p-1",
-        "0x1.0000000000000p+0",
+        "0x1.fbffffffffffep-1",
+        "0x1.f400000000000p-1",
+        "0x1.f800000000000p-1",
+        "0x1.f500000000000p-1",
+        "0x1.fc00000000000p-1",
     ]
 
 
 def test_fig11_golden():
     records = run_fig11((1, 2), (0, 1), (1.0, 10.0), shots=SHOTS, seed=SEED)
     assert _fidelities(records) == [
+        "0x1.f7ffffffffffep-1",
         "0x1.ffffffffffffep-1",
         "0x1.f7ffffffffffep-1",
-        "0x1.e7ffffffffffep-1",
-        "0x1.ffffffffffffep-1",
+        "0x1.fbffffffffffep-1",
+        "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0",
         "0x1.f800000000000p-1",
         "0x1.0000000000000p+0",
+        "0x1.e600000000000p-1",
         "0x1.0000000000000p+0",
+        "0x1.e800000000000p-1",
         "0x1.0000000000000p+0",
-        "0x1.f200000000000p-1",
-        "0x1.0000000000000p+0",
-        "0x1.f280000000000p-1",
-        "0x1.0000000000000p+0",
-        "0x1.dffffffffffffp-1",
+        "0x1.ddfffffffffffp-1",
         "0x1.fffffffffffffp-1",
-        "0x1.f1bffffffffffp-1",
-        "0x1.fffffffffffffp-1",
+        "0x1.e13ffffffffffp-1",
+        "0x1.f0dffffffffffp-1",
     ]
 
 
@@ -89,8 +89,8 @@ def test_fig12_golden():
     records = run_fig12(configurations, (1.0, 100.0), shots=SHOTS, seed=SEED)
     assert [r["extra_swaps"] for r in records] == [9, 9, 71, 71]
     assert _fidelities(records) == [
-        "0x1.97ffffffffffep-1",
-        "0x1.fbffffffffffep-1",
-        "0x1.7800000000000p-2",
-        "0x1.0000000000000p+0",
+        "0x1.67ffffffffffep-1",
+        "0x1.ffffffffffffep-1",
+        "0x1.8c00000000000p-2",
+        "0x1.f800000000000p-1",
     ]

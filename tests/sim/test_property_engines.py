@@ -1,8 +1,8 @@
 """Property-based checks of the Feynman engine against the dense oracle.
 
 Under a ``ShotSeeds`` window, shot ``s`` of a noisy ``feynman-tape`` run must
-equal the dense ``statevector`` run of
-``sample_noisy_circuit(circuit, noise, seeds.generator(s))``: the sampled
+equal the dense ``statevector`` run of ``sample_noisy_circuit`` fed shot
+``s``'s row of uniforms (``seeds.uniforms(s, 1, width)[0]``): the sampled
 circuit inserts exactly the Paulis the engine draws for that shot, in program
 order, so agreement checks both the draw and the fused execution -- including
 off-operand (crosstalk) sites that must fire inside a fused run.  Noiseless

@@ -8,7 +8,8 @@ These tests pin the resolver, the public entry points that accept ``rng``,
 and two independent references for the draw: ``sample_noisy_circuit`` fed the
 shot's own generator inserts exactly the Paulis the engines apply, and the
 chunked block draw equals a per-shot loop of sequential per-site
-``sample_thresholded`` draws.
+``sample_thresholded`` draws.  Both references read the shot's own row,
+``seeds.uniforms(shot, 1, width)[0]``, through a fixed-uniform reader.
 """
 
 from unittest import mock
@@ -32,7 +33,12 @@ from repro.sim import (
 from repro.sim.noise import PAULI_I, ScheduledNoiseModel
 from repro.sim import seeding
 from repro.sim.seeding import as_shot_seeds, draw_shot_randomness
-from tests.conftest import gate_noise_models, random_reversible_circuits, site_table
+from tests.conftest import (
+    FixedUniforms,
+    gate_noise_models,
+    random_reversible_circuits,
+    site_table,
+)
 
 NOISE = GateNoiseModel(PauliChannel.depolarizing(0.05))
 _PAULI_CODES = {"X": 1, "Y": 2, "Z": 3}
@@ -218,7 +224,9 @@ class TestSampledCircuitReference:
                 )
                 if code != PAULI_I
             ]
-            noisy = sample_noisy_circuit(circuit, noise, seeds.generator(shot))
+            sampler = FixedUniforms(seeds.uniforms(shot, 1, sites.n_sites)[0])
+            noisy = sample_noisy_circuit(circuit, noise, sampler)
+            assert sampler.exhausted
             inserted = []
             gate = -1
             for instr in noisy.instructions:
@@ -253,11 +261,12 @@ def _reference_draw(channels, seeds: ShotSeeds, shots: int, n_measurements: int)
     """Per-shot, per-site sequential draw: the contract the block draw keeps."""
     codes = np.empty((len(channels), shots), dtype=np.int64)
     uniforms = np.empty((n_measurements, shots))
+    width = n_measurements + len(channels)
     for shot in range(shots):
-        generator = seeds.generator(shot)
-        uniforms[:, shot] = generator.random(n_measurements)
+        reader = FixedUniforms(seeds.uniforms(shot, 1, width)[0])
+        uniforms[:, shot] = reader.random(n_measurements)
         for site, channel in enumerate(channels):
-            codes[site, shot] = channel.sample_thresholded(generator, 1)[0]
+            codes[site, shot] = channel.sample_thresholded(reader, 1)[0]
     return codes, uniforms
 
 
@@ -282,23 +291,6 @@ def _cumulative(channel: PauliChannel) -> np.ndarray:
             1.0 - channel.p_total + channel.p_x + channel.p_y,
         ]
     )
-
-
-class _FixedUniforms:
-    """Generator stand-in handing out a fixed sequence of uniforms in order."""
-
-    def __init__(self, values):
-        self._values = np.asarray(values, dtype=float)
-        self._cursor = 0
-
-    def random(self, size=None, out=None):
-        count = out.shape[0] if out is not None else size
-        values = self._values[self._cursor : self._cursor + count]
-        self._cursor += count
-        if out is None:
-            return values.copy()
-        out[:] = values
-        return out
 
 
 class TestBlockDrawEquivalence:
@@ -350,7 +342,7 @@ class TestBlockDrawEquivalence:
         seeds = ShotSeeds(seed=4)
         codes, uniforms = draw_shot_randomness(site_table(channels), seeds, 3, 1)
         for shot in range(3):
-            row = seeds.generator(shot).random(width)
+            row = seeds.uniforms(shot, 1, width)[0]
             assert uniforms[0, shot] == row[0]
             assert np.array_equal(codes[:, shot], np.where(row[1:] >= 0.5, 3, 0))
 
@@ -363,32 +355,40 @@ class TestBlockDrawEquivalence:
                     channels.append(channel)
                     values.append(value)
         sites = site_table(channels)
-        with mock.patch.object(
-            ShotSeeds, "generator", lambda self, shot: _FixedUniforms([0.5] + values)
-        ):
+
+        def fixed_row(self, local_start, count, width, out=None, scratch=None):
+            out[:] = [0.5] + values
+            return out
+
+        with mock.patch.object(ShotSeeds, "uniforms", fixed_row):
             codes, _ = draw_shot_randomness(sites, ShotSeeds(seed=0), 1, 1)
         for site, (channel, value) in enumerate(zip(channels, values)):
             expected = np.searchsorted(_cumulative(channel), value, side="right")
             assert codes[site, 0] == expected
-            sampled = channel.sample_thresholded(_FixedUniforms([value]), 1)[0]
+            sampled = channel.sample_thresholded(FixedUniforms([value]), 1)[0]
             assert sampled == expected
 
 
 class TestShotStreamsBuilt:
     @staticmethod
-    def _counting(monkeypatch) -> list[int]:
-        calls: list[int] = []
-        original = ShotSeeds.generator
+    def _forbid_generators(monkeypatch) -> None:
+        """Make every NumPy seed-sequence and generator constructor raise."""
 
-        def generator(self, local_shot):
-            calls.append(local_shot)
-            return original(self, local_shot)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the draw path built a NumPy random object")
 
-        monkeypatch.setattr(ShotSeeds, "generator", generator)
-        return calls
+        for name in ("SeedSequence", "Generator", "default_rng"):
+            monkeypatch.setattr(np.random, name, forbidden)
 
     def test_empty_table_without_measurements_builds_no_stream(self, monkeypatch):
-        calls = self._counting(monkeypatch)
+        calls: list[int] = []
+        original = ShotSeeds.uniforms
+
+        def uniforms(self, *args, **kwargs):
+            calls.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShotSeeds, "uniforms", uniforms)
         codes, uniforms = draw_shot_randomness(
             site_table([]), ShotSeeds(seed=1), 1000
         )
@@ -400,11 +400,27 @@ class TestShotStreamsBuilt:
         "channels, n_measurements",
         [([], 2), ([PauliChannel.bit_flip(0.1)], 0), ([PauliChannel()] * 40, 3)],
     )
-    def test_one_stream_per_shot_when_drawing(
+    def test_draw_builds_no_seed_sequence_or_generator(
         self, monkeypatch, channels, n_measurements
     ):
-        calls = self._counting(monkeypatch)
-        draw_shot_randomness(
+        expected = draw_shot_randomness(
             site_table(channels), ShotSeeds(seed=1), 12, n_measurements
         )
-        assert calls == list(range(12))
+        self._forbid_generators(monkeypatch)
+        codes, uniforms = draw_shot_randomness(
+            site_table(channels), ShotSeeds(seed=1), 12, n_measurements
+        )
+        assert np.array_equal(codes, expected[0])
+        if n_measurements:
+            assert np.array_equal(uniforms, expected[1])
+
+    def test_noisy_run_builds_no_seed_sequence_or_generator(self, monkeypatch, qram):
+        compiled = qram.compiled_query()
+        engine = get_engine("feynman-tape")
+        args = (compiled.circuit, compiled.input_state, NOISE, 40)
+        seeds = ShotSeeds(seed=7)
+        expected = engine.run_noisy_shots(*args, rng=seeds)
+        self._forbid_generators(monkeypatch)
+        bits, amps = engine.run_noisy_shots(*args, rng=seeds)
+        assert np.array_equal(bits, expected[0])
+        assert np.array_equal(amps, expected[1])

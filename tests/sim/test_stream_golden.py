@@ -4,8 +4,8 @@ Every committed benchmark artefact (``benchmarks/baselines/BENCH_*.json``)
 and every cached scenario fingerprint depends on one invariant: a shot's
 randomness is consumed in a fixed order -- **measurement uniforms first**
 (one per measurement, instruction order), **then noise-site codes** (one per
-gate/qubit error site, tape order) -- from its own ``SeedSequence``-derived
-stream.  Path branching added new consumers around that stream, so this
+gate/qubit error site, tape order) -- from its own SplitMix64 row
+(``ShotSeeds.uniforms``).  Path branching added new consumers around that stream, so this
 module pins the contract on a fixed branching circuit with hard-coded golden
 values: if any engine starts drawing in a different order (or branching
 starts consuming randomness at all), these tests fail loudly with the exact
@@ -40,8 +40,8 @@ _A = 0.7071067811865474
 #: from each shot's stream, one row per measurement in instruction order.
 GOLDEN_UNIFORMS = np.array(
     [
-        [0.9501710763618, 0.8889629236301984, 0.4412720320783742],
-        [0.899093609290172, 0.36222650317666283, 0.8243187798356074],
+        [0.801554966500462, 0.2074187384479177, 0.4192570441831782],
+        [0.9343558506521844, 0.28574322183225476, 0.16968189799936406],
     ]
 )
 
@@ -49,11 +49,11 @@ GOLDEN_UNIFORMS = np.array(
 #: uniforms, one row per (gate, qubit) error site in tape order.
 GOLDEN_CODES = np.array(
     [
-        [2, 0, 0],
-        [3, 0, 0],
-        [0, 1, 0],
         [0, 0, 0],
-        [2, 0, 1],
+        [0, 0, 3],
+        [0, 0, 0],
+        [1, 0, 0],
+        [0, 3, 3],
     ]
 )
 
@@ -63,14 +63,14 @@ GOLDEN_BITS = np.array(
     [
         [1, 1, 1],
         [1, 1, 0],
-        [1, 0, 0],
-        [1, 0, 1],
-        [0, 1, 1],
-        [0, 1, 0],
+        [0, 0, 0],
+        [0, 0, 1],
+        [0, 0, 0],
+        [0, 0, 1],
     ],
     dtype=bool,
 )
-GOLDEN_AMPS = np.array([-_A, -_A, -_A, _A, _A, _A], dtype=complex)
+GOLDEN_AMPS = np.array([-_A, _A, _A, -_A, _A, -_A], dtype=complex)
 
 
 def _branching_circuit() -> QuantumCircuit:

@@ -11,32 +11,32 @@ from repro.sweep import split_shots
 
 class TestShotSeeds:
     def test_same_coordinates_same_stream(self):
-        a = ShotSeeds(seed=7, point_index=3, start=0).generator(5)
-        b = ShotSeeds(seed=7, point_index=3, start=0).generator(5)
-        assert np.array_equal(a.random(16), b.random(16))
+        a = ShotSeeds(seed=7, point_index=3, start=0).uniforms(5, 1, 16)
+        b = ShotSeeds(seed=7, point_index=3, start=0).uniforms(5, 1, 16)
+        assert np.array_equal(a, b)
 
     def test_shifted_window_aliases_absolute_shots(self):
         # Shot 12 reached as start=0/local=12 or start=10/local=2 is the
         # same stream: seeding is keyed on the absolute shot index.
         base = ShotSeeds(seed=11, point_index=0)
         assert np.array_equal(
-            base.generator(12).random(8), base.shifted(10).generator(2).random(8)
+            base.uniforms(12, 1, 8), base.shifted(10).uniforms(2, 1, 8)
         )
 
     def test_distinct_shots_points_and_seeds_differ(self):
-        reference = ShotSeeds(seed=1, point_index=0).generator(0).random(8)
+        reference = ShotSeeds(seed=1, point_index=0).uniforms(0, 1, 8)
         for other in (
-            ShotSeeds(seed=1, point_index=0).generator(1),
-            ShotSeeds(seed=1, point_index=1).generator(0),
-            ShotSeeds(seed=2, point_index=0).generator(0),
+            ShotSeeds(seed=1, point_index=0).uniforms(1, 1, 8),
+            ShotSeeds(seed=1, point_index=1).uniforms(0, 1, 8),
+            ShotSeeds(seed=2, point_index=0).uniforms(0, 1, 8),
         ):
-            assert not np.array_equal(reference, other.random(8))
+            assert not np.array_equal(reference, other)
 
     def test_generators_matches_generator(self):
         seeds = ShotSeeds(seed=5, point_index=2, start=4)
-        streams = [seeds.generator(i) for i in range(3)]
-        absolute = ShotSeeds(seed=5, point_index=2).generator(6)
-        assert np.array_equal(streams[2].random(4), absolute.random(4))
+        rows = seeds.uniforms(0, 3, 4)
+        absolute = ShotSeeds(seed=5, point_index=2).uniforms(6, 1, 4)
+        assert np.array_equal(rows[2], absolute[0])
 
     def test_negative_coordinates_rejected(self):
         with pytest.raises(ValueError):
@@ -45,6 +45,26 @@ class TestShotSeeds:
             ShotSeeds(seed=0, point_index=-1)
         with pytest.raises(ValueError):
             ShotSeeds(seed=0, start=-2)
+
+    @pytest.mark.parametrize("field", ["seed", "point_index", "start"])
+    def test_float_coordinate_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            ShotSeeds(**{"seed": 0, field: 1.5})
+
+    @pytest.mark.parametrize("field", ["seed", "point_index", "start"])
+    def test_bool_coordinate_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            ShotSeeds(**{"seed": 0, field: True})
+
+    @pytest.mark.parametrize("field", ["seed", "point_index", "start"])
+    def test_string_coordinate_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            ShotSeeds(**{"seed": 0, field: "7"})
+
+    def test_numpy_integers_normalised_to_int(self):
+        seeds = ShotSeeds(seed=np.uint64(7), point_index=np.int32(2), start=np.int8(3))
+        assert seeds == ShotSeeds(seed=7, point_index=2, start=3)
+        assert {type(v) for v in (seeds.seed, seeds.point_index, seeds.start)} == {int}
 
 
 class TestSplitShots:
